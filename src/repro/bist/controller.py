@@ -61,7 +61,7 @@ class BistResult:
     #: execution engine that measured the run ("reference"/"vectorized").
     backend: str = "reference"
     #: concrete kernel tier of the vectorized campaign ("flat" /
-    #: "segmented" / "jit" / "gpu"); "" on the reference engine.
+    #: "segmented" / "jit"); "" on the reference engine.
     kernel: str = ""
 
     def describe(self) -> str:

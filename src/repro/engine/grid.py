@@ -114,17 +114,13 @@ class BatchedGridEngine:
         previous = runner._get_worker_state()
         runner._set_worker_state(state)
         try:
-            prr_groups, power_groups, percase = self._plan()
+            groups, percase = self._plan()
             # Records emit in input order (matching the per-case
             # sequential journal order); each stacked group evaluates
             # lazily, when its first member is reached.
             evaluators = {}
-            for members in prr_groups.values():
-                runner_fn = self._run_prr_group
-                for position, _ in members:
-                    evaluators[position] = (runner_fn, state, members)
-            for members in power_groups.values():
-                runner_fn = self._run_power_group
+            for (tag, *_), members in groups.items():
+                runner_fn = getattr(self, f"_run_{tag}_group")
                 for position, _ in members:
                     evaluators[position] = (runner_fn, state, members)
             ready = {}
@@ -145,37 +141,32 @@ class BatchedGridEngine:
     def _plan(self):
         """Split the grid into stackable groups and per-case leftovers.
 
-        PRR campaigns group per BIST-controller configuration, power
-        sweeps per (geometry, direction, kernel) — different algorithms,
-        address orders and requested backends stack together; only the
-        reference backend (which has no bulk kernel) and coverage
-        campaigns (a different engine family) stay per-case.
+        Groups key on the case kind, the full geometry and the kind's
+        ``stack_axes`` (:class:`repro.sweep.runner.CaseKind`): PRR
+        campaigns group per BIST-controller configuration, power sweeps
+        per (geometry, direction, kernel) — different algorithms, address
+        orders and requested backends stack together; only the reference
+        backend (which has no bulk kernel) and coverage campaigns (a
+        different engine family) stay per-case.  A group of kind ``tag``
+        evaluates through ``_run_<tag>_group``.
         """
         runner = self._runner
-        prr_groups: Dict[Tuple, List[Tuple[int, object]]] = {}
-        power_groups: Dict[Tuple, List[Tuple[int, object]]] = {}
+        groups: Dict[Tuple, List[Tuple[int, object]]] = {}
         percase: List[Tuple[int, object]] = []
         for position, case in enumerate(self.cases):
-            if isinstance(case, runner.PrrCase) and case.backend != "reference":
-                key = (case.rows, case.columns, case.bits_per_word,
-                       case.backend, case.banks, case.bank_interleave,
-                       case.kernel)
-                prr_groups.setdefault(key, []).append((position, case))
-            elif isinstance(case, runner.SweepCase) \
-                    and case.backend != "reference":
-                key = (case.rows, case.columns, case.bits_per_word,
-                       case.any_direction, case.banks, case.bank_interleave,
-                       case.kernel)
-                power_groups.setdefault(key, []).append((position, case))
+            if runner._batchable(case):
+                kind = runner.kind_of(case)
+                key = runner._axes_key(case, kind, kind.stack_axes)
+                groups.setdefault(key, []).append((position, case))
             else:
                 percase.append((position, case))
-        return prr_groups, power_groups, percase
+        return groups, percase
 
     # ------------------------------------------------------------------
     def _run_prr_group(self, state, members):
         """One stacked pass over a BIST power-campaign group (both planners)."""
         runner = self._runner
-        controller = state.controller_for(members[0][1])
+        controller = state.facade_for(members[0][1])
         requests = []
         for _, case in members:
             algorithm = get_algorithm(case.algorithm)

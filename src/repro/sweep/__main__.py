@@ -94,10 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="vectorized-engine kernel tier: 'flat' (the "
                              "stacked numpy kernel), 'segmented' (the "
                              "chunked low-memory path), 'jit' (the numba-"
-                             "compiled tier), 'gpu' (the CuPy tier), or "
-                             "'auto' (jit when numba is importable, else "
-                             "flat); compiled tiers fall back to flat with "
-                             "a warning when their dependency is absent, "
+                             "compiled tier), or 'auto' (jit when numba "
+                             "is importable, else flat); jit falls back to "
+                             "flat with a warning when numba is absent, "
                              "and records carry the tier that actually ran "
                              "(default: the process-wide engine default)")
     parser.add_argument("--banks", type=int, action="append", default=None,

@@ -1,42 +1,48 @@
 """Batch execution of scenario grids (the paper-scale sweeps).
 
 A sweep batch-executes a grid of scenarios with optional multiprocessing
-fan-out across scenarios and JSON/CSV export of the results.  Two scenario
-kinds exist, both plain picklable descriptions:
+fan-out across scenarios and JSON/CSV export of the results.  Three
+scenario kinds exist, all plain picklable descriptions, each one row of
+the :data:`CASE_KINDS` table:
 
-* :class:`SweepCase` — one *(geometry x algorithm x address-order x
-  backend)* test-power measurement: a full functional-vs-low-power-test-
-  mode comparison (the paper's Table 1).  ``python -m repro.sweep --paper``
-  runs the full 512 x 512 measured Table 1 in seconds.
-* :class:`CoverageCase` — one *(geometry x algorithm x order-set)* fault-
-  coverage campaign: the standard fault battery simulated under several
-  address orders with per-fault invariance checking (the paper's Section 3
-  DOF-1 argument).  ``python -m repro.sweep --paper-coverage`` runs the
-  full 512 x 512 DOF-1 invariance check in seconds on the vectorized
-  campaign engine.
-* :class:`PrrCase` — one *(geometry x algorithm x backend)* BIST power
-  campaign: both operating modes measured through the backend-pluggable
-  :class:`repro.bist.BistController`, the measured Power Reduction Ratio
-  differenced against the Section 5 analytical model and its extended
-  (bracketing) variant.  ``python -m repro.sweep --paper-table1`` runs the
-  full measured 512 x 512 Table 1 in seconds on the vectorized power
-  campaign.
+* :class:`SweepCase` (``"power"``) — one *(geometry x algorithm x
+  address-order x backend)* test-power measurement: a full
+  functional-vs-low-power-test-mode comparison (the paper's Table 1).
+  ``python -m repro.sweep --paper`` runs the full 512 x 512 measured
+  Table 1 in seconds.
+* :class:`CoverageCase` (``"coverage"``) — one *(geometry x algorithm x
+  order-set)* fault-coverage campaign: the standard fault battery
+  simulated under several address orders with per-fault invariance
+  checking (the paper's Section 3 DOF-1 argument).
+  ``python -m repro.sweep --paper-coverage`` runs the full 512 x 512 DOF-1
+  invariance check in seconds on the vectorized campaign engine.
+* :class:`PrrCase` (``"prr"``) — one *(geometry x algorithm x backend)*
+  BIST power campaign: both operating modes measured through the
+  backend-pluggable :class:`repro.bist.BistController`, the measured Power
+  Reduction Ratio differenced against the Section 5 analytical model and
+  its extended (bracketing) variant.  ``python -m repro.sweep
+  --paper-table1`` runs the full measured 512 x 512 Table 1 in seconds on
+  the vectorized power campaign.
 
 Design notes:
 
 * cases carry only names and numbers (no live objects), so they travel
   cheaply to worker processes and round-trip through JSON;
-* :func:`run_case` / :func:`run_coverage_case` are module-level functions —
-  :func:`execute_case` dispatches on the case type and is the unit of work
-  a ``multiprocessing.Pool`` maps over;
+* every per-kind decision — JSON tag, record class, work unit, facade,
+  trace pre-warming, stackability, CSV header marker — is read from the
+  kind's :class:`CaseKind` row, so a new kind is one row plus its
+  case/record classes and work unit;
+* :func:`execute_case` runs any case through its row's work unit and is
+  what a ``multiprocessing.Pool`` maps over;
 * execution **streams**: the runner consumes ``imap_unordered``, so each
   completed case is journaled and reported live while the rest of the grid
   is still running, and the final :class:`SweepResult` restores the stable
   input order;
-* every worker process owns one :class:`_WorkerState` — memoised address
-  orders, facades and a shared :class:`~repro.march.execution.TraceCache`,
-  pre-warmed by the pool initializer — so the same algorithm x order trace
-  is compiled once per worker instead of once per case;
+* every worker process owns one :class:`_WorkerState` — memoised
+  address orders and facades and a shared
+  :class:`~repro.march.execution.TraceCache`, pre-warmed by the pool
+  initializer — so the same algorithm x order trace is compiled once per
+  worker instead of once per case;
 * a campaign is durable: ``journal=path`` appends one fsync'd JSONL line
   per completed case (:mod:`repro.sweep.journal`), ``run(resume=True)``
   reloads it and re-executes only the missing cases, and
@@ -56,9 +62,10 @@ import os
 import threading
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterable,
@@ -133,6 +140,66 @@ def parse_geometry(spec: GeometryLike) -> ArrayGeometry:
     return ArrayGeometry(*spec)
 
 
+def _validate_case(case, backends: Tuple[str, ...], orders: Sequence[str],
+                   kernel: Optional[str] = None) -> None:
+    """The fail-fast checks every case kind shares, spelled once.
+
+    Address orders, backend and kernel tier must be known names, the
+    algorithm must resolve and the geometry must be consistent — a bad
+    case fails at construction, not halfway through a campaign.
+    """
+    for order in orders:
+        if order not in ORDER_REGISTRY:
+            raise SweepError(
+                f"unknown address order {order!r}; "
+                f"available: {sorted(ORDER_REGISTRY)}")
+    if case.backend not in backends:
+        raise SweepError(
+            f"unknown backend {case.backend!r}; expected one of {backends}")
+    if kernel is not None and kernel not in KERNEL_CHOICES:
+        raise SweepError(
+            f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}")
+    get_algorithm(case.algorithm)  # fail fast on unknown names
+    case.geometry()  # fail fast on inconsistent dimensions/banking
+
+
+class _Record:
+    """The JSON/CSV row form every record dataclass shares."""
+
+    def as_dict(self) -> Dict[str, object]:
+        """Flat dictionary view (the JSON/CSV row)."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]):
+        """Rebuild a record from :meth:`as_dict` output (JSON/CSV import).
+
+        Coerces CSV's stringly-typed fields.  Fields with a dataclass
+        default (e.g. ``banks``) may be absent — exports written before
+        the field existed import with the default.
+        """
+        kwargs = {}
+        for spec in fields(cls):
+            if spec.name not in data:
+                if spec.default is not MISSING:
+                    kwargs[spec.name] = spec.default
+                    continue
+                raise SweepError(
+                    f"sweep record is missing field {spec.name!r}")
+            value = data[spec.name]
+            if spec.type in ("int", int):
+                value = int(value)  # CSV round-trip delivers strings
+            elif spec.type in ("float", float):
+                value = float(value)
+            elif spec.type in ("bool", bool) and isinstance(value, str):
+                value = value == "True"
+            kwargs[spec.name] = value
+        return cls(**kwargs)
+
+
+# ----------------------------------------------------------------------
+# Power-measurement cases (the Table 1 mode comparison)
+# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SweepCase:
     """One scenario of a sweep grid (picklable, JSON-friendly).
@@ -160,19 +227,7 @@ class SweepCase:
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.order not in ORDER_REGISTRY:
-            raise SweepError(
-                f"unknown address order {self.order!r}; "
-                f"available: {sorted(ORDER_REGISTRY)}")
-        if self.backend not in BACKENDS:
-            raise SweepError(
-                f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
-        if self.kernel is not None and self.kernel not in KERNEL_CHOICES:
-            raise SweepError(
-                f"unknown kernel {self.kernel!r}; "
-                f"expected one of {KERNEL_CHOICES}")
-        get_algorithm(self.algorithm)  # fail fast on unknown names
-        self.geometry()  # fail fast on inconsistent dimensions/banking
+        _validate_case(self, BACKENDS, (self.order,), self.kernel)
 
     def geometry(self) -> ArrayGeometry:
         """The array geometry this case runs on."""
@@ -189,7 +244,7 @@ class SweepCase:
 
 
 @dataclass
-class SweepRecord:
+class SweepRecord(_Record):
     """The measurements of one executed :class:`SweepCase`."""
 
     rows: int
@@ -215,18 +270,9 @@ class SweepRecord:
     kernel: str = "default"  # requested kernel tier ("default" = follow
                              # the process default)
     kernel_used: str = ""    # concrete tier(s) that measured the modes
-                             # ("flat"/"segmented"/"jit"/"gpu", joined
-                             # with "+" if they differed; "" = reference
+                             # ("flat"/"segmented"/"jit", joined with
+                             # "+" if they differed; "" = reference
                              # engine only, which has no kernel seam)
-
-    def as_dict(self) -> Dict[str, object]:
-        """Flat dictionary view (the JSON/CSV row)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SweepRecord":
-        """Rebuild a record from :meth:`as_dict` output (JSON/CSV import)."""
-        return _record_from_dict(cls, data)
 
     def table_row(self) -> Dict[str, object]:
         """One row of the sweep report table."""
@@ -264,7 +310,7 @@ def run_case(case: SweepCase) -> SweepRecord:
     reports which engine(s) actually measured the comparison.
     """
     algorithm = get_algorithm(case.algorithm)
-    session = _session_for_case(case)
+    session = facade_for(case)
 
     started = time.perf_counter()
     functional = session.run(algorithm, OperatingMode.FUNCTIONAL)
@@ -332,6 +378,18 @@ def _kernels_used(*results) -> str:
                             if result.kernel}))
 
 
+def _build_session(case: SweepCase,
+                   state: Optional["_WorkerState"]) -> TestSession:
+    """The power-measurement facade of ``case`` (orders via ``state``)."""
+    geometry = case.geometry()
+    order = state.order_for(case.order, geometry) if state is not None \
+        else make_order(case.order, geometry)
+    return TestSession(geometry, order=order,
+                       any_direction=AddressingDirection(case.any_direction),
+                       detailed=False, backend=case.backend,
+                       kernel=case.kernel)
+
+
 # ----------------------------------------------------------------------
 # Fault-coverage campaign cases (the DOF-1 sweeps)
 # ----------------------------------------------------------------------
@@ -372,17 +430,9 @@ class CoverageCase:
         object.__setattr__(self, "orders", tuple(self.orders))
         if not self.orders:
             raise SweepError("a coverage case needs at least one address order")
-        for order in self.orders:
-            if order not in ORDER_REGISTRY:
-                raise SweepError(
-                    f"unknown address order {order!r}; "
-                    f"available: {sorted(ORDER_REGISTRY)}")
-        if self.backend not in FAULT_BACKENDS:
-            raise SweepError(
-                f"unknown backend {self.backend!r}; expected one of {FAULT_BACKENDS}")
         if not (self.include_single or self.include_coupling):
             raise SweepError("a coverage case needs at least one fault battery")
-        get_algorithm(self.algorithm)  # fail fast on unknown names
+        _validate_case(self, FAULT_BACKENDS, self.orders)
 
     def geometry(self) -> ArrayGeometry:
         """The (bit-oriented) array geometry this campaign runs on."""
@@ -395,7 +445,7 @@ class CoverageCase:
 
 
 @dataclass
-class CoverageRecord:
+class CoverageRecord(_Record):
     """The measurements of one executed :class:`CoverageCase`.
 
     ``seed`` and ``sample`` are recorded so the exported JSON/CSV alone
@@ -419,15 +469,6 @@ class CoverageRecord:
     invariant: bool         # per-fault detection identical across orders
     disagreements: int
     elapsed_s: float
-
-    def as_dict(self) -> Dict[str, object]:
-        """Flat dictionary view (the JSON/CSV row)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CoverageRecord":
-        """Rebuild a record from :meth:`as_dict` output (JSON/CSV import)."""
-        return _record_from_dict(cls, data)
 
     def table_row(self) -> Dict[str, object]:
         """One row of the sweep report table."""
@@ -470,7 +511,7 @@ def run_coverage_case(case: CoverageCase) -> CoverageRecord:
     injections = build_fault_list(geometry, locations=locations,
                                   include_single=case.include_single,
                                   include_coupling=case.include_coupling)
-    simulator = _simulator_for_case(case)
+    simulator = facade_for(case)
 
     started = time.perf_counter()
     campaign = run_campaign(algorithm, orders, geometry, injections,
@@ -497,6 +538,33 @@ def run_coverage_case(case: CoverageCase) -> CoverageRecord:
         disagreements=len(invariance.disagreements),
         elapsed_s=elapsed,
     )
+
+
+def _build_simulator(case: CoverageCase,
+                     state: Optional["_WorkerState"]) -> FaultSimulator:
+    """The fault-simulation facade of ``case`` (sharing ``state``'s traces)."""
+    return FaultSimulator(
+        case.geometry(),
+        any_direction=AddressingDirection(case.any_direction),
+        backend=case.backend,
+        trace_cache=state.traces if state is not None else None)
+
+
+def _coverage_warm_specs(case: CoverageCase) -> List[Tuple]:
+    """One trace spec per order: ``(tag, algorithm, order, rows, columns,
+    direction)``."""
+    return [("coverage", case.algorithm, order, case.rows, case.columns,
+             case.any_direction)
+            for order in case.orders]
+
+
+def _warm_coverage(state: "_WorkerState", simulator: FaultSimulator,
+                   case: CoverageCase, specs: List[Tuple]) -> None:
+    """Compile the per-order fault-campaign traces named by ``specs``."""
+    algorithm = get_algorithm(case.algorithm)
+    geometry = case.geometry()
+    for _, _, order, *_ in specs:
+        simulator.trace_for(algorithm, state.order_for(order, geometry))
 
 
 def coverage_grid(geometries: Iterable[GeometryLike],
@@ -581,16 +649,7 @@ class PrrCase:
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.backend not in POWER_BACKENDS:
-            raise SweepError(
-                f"unknown backend {self.backend!r}; "
-                f"expected one of {POWER_BACKENDS}")
-        if self.kernel is not None and self.kernel not in KERNEL_CHOICES:
-            raise SweepError(
-                f"unknown kernel {self.kernel!r}; "
-                f"expected one of {KERNEL_CHOICES}")
-        get_algorithm(self.algorithm)  # fail fast on unknown names
-        self.geometry()  # fail fast on inconsistent dimensions/banking
+        _validate_case(self, POWER_BACKENDS, (), self.kernel)
 
     def geometry(self) -> ArrayGeometry:
         """The array geometry this campaign runs on."""
@@ -607,7 +666,7 @@ class PrrCase:
 
 
 @dataclass
-class PrrRecord:
+class PrrRecord(_Record):
     """The measurements of one executed :class:`PrrCase`.
 
     Carries the raw energy totals of both modes (the quantities the golden
@@ -643,15 +702,6 @@ class PrrRecord:
     bank_interleave: str = "blocked"
     kernel: str = "default"   # requested tier ("default" = process default)
     kernel_used: str = ""     # "+"-joined tiers that ran ("" = reference only)
-
-    def as_dict(self) -> Dict[str, object]:
-        """Flat dictionary view (the JSON/CSV row)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "PrrRecord":
-        """Rebuild a record from :meth:`as_dict` output (JSON/CSV import)."""
-        return _record_from_dict(cls, data)
 
     def table_row(self) -> Dict[str, object]:
         """One row of the sweep report table (the Table 1 layout)."""
@@ -691,7 +741,7 @@ def run_prr_case(case: PrrCase) -> PrrRecord:
     the raw energy totals alongside the measured and predicted PRR.
     """
     algorithm = get_algorithm(case.algorithm)
-    controller = _controller_for_case(case)
+    controller = facade_for(case)
 
     started = time.perf_counter()
     functional = controller.run(algorithm, low_power=False)
@@ -750,6 +800,29 @@ def prr_record(case: PrrCase, functional, low_power,
     )
 
 
+def _build_controller(case: PrrCase,
+                      state: Optional["_WorkerState"]) -> BistController:
+    """The BIST power-campaign facade of ``case`` (sharing ``state``'s
+    traces)."""
+    return BistController(
+        case.geometry(), backend=case.backend,
+        trace_cache=state.traces if state is not None else None,
+        kernel=case.kernel)
+
+
+def _prr_warm_specs(case: PrrCase) -> List[Tuple]:
+    """The one campaign trace of ``case``: BIST traversal on its geometry."""
+    return [("prr", case.algorithm, case.rows, case.columns,
+             case.bits_per_word, case.backend, case.banks,
+             case.bank_interleave)]
+
+
+def _warm_prr(state: "_WorkerState", controller: BistController,
+              case: PrrCase, specs: List[Tuple]) -> None:
+    """Compile the campaign trace (and segment walk) of ``case``."""
+    controller.warm(get_algorithm(case.algorithm))
+
+
 def prr_grid(geometries: Iterable[GeometryLike],
              algorithms: Iterable[str],
              backend: str = "auto",
@@ -786,33 +859,108 @@ def paper_prr_cases(backend: str = "vectorized", seed: int = 0,
 #: Any scenario kind a sweep can hold.
 AnyCase = Union[SweepCase, CoverageCase, PrrCase]
 #: Any record kind a sweep result can hold.
-AnyRecord = Union[SweepRecord, "CoverageRecord", "PrrRecord"]
-
-#: JSON ``kind`` tags per record class (power sweeps predate the tag and
-#: stay the default for version-1 documents).
-_RECORD_KINDS: Dict[str, type] = {"power": SweepRecord, "coverage": CoverageRecord,
-                                  "prr": PrrRecord}
+AnyRecord = Union[SweepRecord, CoverageRecord, PrrRecord]
 
 
-#: JSON ``kind`` tags per case class (matching the record tags).
-_CASE_KINDS: Dict[str, type] = {"power": SweepCase, "coverage": CoverageCase,
-                                "prr": PrrCase}
+@dataclass(frozen=True)
+class CaseKind:
+    """One scenario kind: everything the sweep machinery dispatches on.
+
+    The runner, the worker state, the exporters, journal resume, the
+    shard merger and the batched grid engine all read these rows instead
+    of testing case or record types, so a new kind is one row of
+    :data:`CASE_KINDS` (plus its case/record classes and work unit).
+    """
+
+    #: ``kind`` tag of JSON records, journal lines and case fingerprints.
+    tag: str
+    case_cls: type
+    record_cls: type
+    #: the per-case work unit: ``execute(case) -> record``.
+    execute: Callable[[Any], Any]
+    #: ``build_facade(case, state)``: the measurement facade, resolving
+    #: orders and traces through ``state`` when given.
+    build_facade: Callable[[Any, Optional["_WorkerState"]], Any]
+    #: case fields that, with the full geometry, key the facade memo.
+    facade_axes: Tuple[str, ...]
+    #: hashable descriptions of the compiled traces a case needs; the
+    #: pool initializer compiles the specs several cases share.
+    warm_specs: Callable[[Any], List[Tuple]]
+    #: ``warm(state, facade, case, specs)`` compiles the traces named by
+    #: ``specs`` (``None``: the kind compiles no trace up front).
+    warm: Optional[Callable[..., None]]
+    #: case fields that, with the full geometry, key one stacked pass of
+    #: the batched grid engine (``BatchedGridEngine._run_<tag>_group``);
+    #: ``None``: the kind always executes per case.
+    stack_axes: Optional[Tuple[str, ...]]
+    #: CSV header column that identifies the kind's exports (``None``
+    #: for the default kind).
+    csv_marker: Optional[str]
+
+
+#: The scenario-kind table.  Row order is the report order of a mixed
+#: :meth:`SweepResult.render`.
+CASE_KINDS: Tuple[CaseKind, ...] = (
+    CaseKind(tag="power", case_cls=SweepCase, record_cls=SweepRecord,
+             execute=run_case, build_facade=_build_session,
+             facade_axes=("order", "any_direction", "backend", "kernel"),
+             # the vectorized test engine works from the order's
+             # coordinate arrays directly: no trace to pre-compile.
+             warm_specs=lambda case: [], warm=None,
+             stack_axes=("any_direction", "kernel"), csv_marker=None),
+    CaseKind(tag="coverage", case_cls=CoverageCase,
+             record_cls=CoverageRecord, execute=run_coverage_case,
+             build_facade=_build_simulator,
+             facade_axes=("any_direction", "backend"),
+             warm_specs=_coverage_warm_specs, warm=_warm_coverage,
+             stack_axes=None, csv_marker="total_faults"),
+    CaseKind(tag="prr", case_cls=PrrCase, record_cls=PrrRecord,
+             execute=run_prr_case, build_facade=_build_controller,
+             facade_axes=("backend", "kernel"),
+             warm_specs=_prr_warm_specs, warm=_warm_prr,
+             stack_axes=("backend", "kernel"),
+             csv_marker="analytical_prr_bracket"),
+)
+
+#: Power sweeps predate the ``kind`` tag: untagged version-1 documents,
+#: untagged case descriptions and marker-less CSV headers are power.
+_DEFAULT_KIND = CASE_KINDS[0]
+
+
+def kind_of(case: AnyCase) -> CaseKind:
+    """The :class:`CaseKind` row of a case instance."""
+    for row in CASE_KINDS:
+        if isinstance(case, row.case_cls):
+            return row
+    raise SweepError(f"unknown sweep case type {type(case).__name__}")
+
+
+def kind_for_tag(tag: object) -> Optional[CaseKind]:
+    """The :class:`CaseKind` row tagged ``tag``, or ``None``."""
+    for row in CASE_KINDS:
+        if row.tag == tag:
+            return row
+    return None
 
 
 def _record_kind(record: AnyRecord) -> str:
     """The JSON ``kind`` tag of a record instance."""
-    for kind, cls in _RECORD_KINDS.items():
-        if isinstance(record, cls):
-            return kind
+    for row in CASE_KINDS:
+        if isinstance(record, row.record_cls):
+            return row.tag
     raise SweepError(f"unknown sweep record type {type(record).__name__}")
 
 
 def case_kind(case: AnyCase) -> str:
     """The ``kind`` tag of a case instance (``"power"/"coverage"/"prr"``)."""
-    for kind, cls in _CASE_KINDS.items():
-        if isinstance(case, cls):
-            return kind
-    raise SweepError(f"unknown sweep case type {type(case).__name__}")
+    return kind_of(case).tag
+
+
+def _axes_key(case: AnyCase, kind: CaseKind, axes: Sequence[str]) -> Tuple:
+    """Memo/group key: the kind, the full geometry (banking included) and
+    the named case fields."""
+    return (kind.tag, case.geometry(),
+            *(getattr(case, axis) for axis in axes))
 
 
 def case_fingerprint(case: AnyCase) -> Dict[str, object]:
@@ -855,12 +1003,13 @@ def case_from_dict(data: Dict[str, object]) -> AnyCase:
             f"a case description must be a JSON object, got "
             f"{type(data).__name__}")
     payload = dict(data)
-    kind = payload.pop("kind", "power")
-    cls = _CASE_KINDS.get(kind)
-    if cls is None:
+    kind = payload.pop("kind", _DEFAULT_KIND.tag)
+    row = kind_for_tag(kind)
+    if row is None:
         raise SweepError(
             f"unknown case kind {kind!r}; expected one of "
-            f"{sorted(_CASE_KINDS)}")
+            f"{sorted(row.tag for row in CASE_KINDS)}")
+    cls = row.case_cls
     allowed = {spec.name for spec in fields(cls)}
     unknown = sorted(set(payload) - allowed)
     if unknown:
@@ -873,41 +1022,9 @@ def case_from_dict(data: Dict[str, object]) -> AnyCase:
         raise SweepError(f"invalid {kind!r} case: {exc}") from exc
 
 
-def _record_from_dict(cls, data: Dict[str, object]):
-    """Rebuild a record dataclass, coercing CSV's stringly-typed fields.
-
-    Fields with a dataclass default (e.g. ``banks``) may be absent —
-    exports written before the field existed import with the default.
-    """
-    from dataclasses import MISSING
-
-    kwargs = {}
-    for spec in fields(cls):
-        if spec.name not in data:
-            if spec.default is not MISSING:
-                kwargs[spec.name] = spec.default
-                continue
-            raise SweepError(f"sweep record is missing field {spec.name!r}")
-        value = data[spec.name]
-        if spec.type in ("int", int):
-            value = int(value)  # CSV round-trip delivers strings
-        elif spec.type in ("float", float):
-            value = float(value)
-        elif spec.type in ("bool", bool) and isinstance(value, str):
-            value = value == "True"
-        kwargs[spec.name] = value
-    return cls(**kwargs)
-
-
 def execute_case(case: AnyCase) -> AnyRecord:
     """Run one scenario of any kind (the multiprocessing work unit)."""
-    if isinstance(case, CoverageCase):
-        return run_coverage_case(case)
-    if isinstance(case, PrrCase):
-        return run_prr_case(case)
-    if isinstance(case, SweepCase):
-        return run_case(case)
-    raise SweepError(f"unknown sweep case type {type(case).__name__}")
+    return kind_of(case).execute(case)
 
 
 def _execute_indexed(item: Tuple[int, AnyCase]) -> Tuple[int, AnyRecord]:
@@ -928,11 +1045,12 @@ class _WorkerState:
     :class:`~repro.march.execution.OperationTrace` over and over, because
     the trace caches inside the facades key on *object identity* and each
     case used to construct fresh orders and facades.  The worker state
-    fixes both halves: address orders are memoised by (name, geometry), and
-    facades (:class:`TestSession` / :class:`FaultSimulator` /
-    :class:`BistController`) are memoised by their configuration axes with
-    one shared :class:`~repro.march.execution.TraceCache` threaded through,
-    so identities are stable and every compile happens once per worker.
+    fixes both halves: address orders are memoised by (name, bank-free
+    geometry), and facades (:class:`TestSession` /
+    :class:`FaultSimulator` / :class:`BistController`) by (kind, full
+    geometry, the kind's ``facade_axes``) with one shared
+    :class:`~repro.march.execution.TraceCache` threaded through, so
+    identities are stable and every compile happens once per worker.
 
     :meth:`warm` is the pool initializer's pre-warming pass: it memoises
     the grid's orders and facades and compiles the traces that several
@@ -948,59 +1066,36 @@ class _WorkerState:
     def __init__(self) -> None:
         #: compiled traces shared by every facade of this worker.
         self.traces = TraceCache()
-        self._orders: Dict[Tuple[str, int, int, int], object] = {}
-        self._sessions: Dict[Tuple, TestSession] = {}
-        self._simulators: Dict[Tuple, FaultSimulator] = {}
-        self._controllers: Dict[Tuple, BistController] = {}
+        self._orders: Dict[Tuple[str, ArrayGeometry], object] = {}
+        self._facades: Dict[Tuple, object] = {}
 
     # ------------------------------------------------------------------
     def order_for(self, name: str, geometry: ArrayGeometry):
-        """The memoised :class:`AddressOrder` for ``name`` on ``geometry``."""
-        key = (name, geometry.rows, geometry.columns, geometry.bits_per_word)
+        """The memoised :class:`AddressOrder` for ``name`` on ``geometry``.
+
+        Banking leaves the logical address map unchanged, so the order is
+        keyed on — and built for — the bank-free geometry: banked and
+        unbanked arrays of one size share one order and its compiled
+        traces, and the order's own ``geometry`` always equals its key.
+        """
+        logical = ArrayGeometry(rows=geometry.rows, columns=geometry.columns,
+                                bits_per_word=geometry.bits_per_word)
+        key = (name, logical)
         order = self._orders.get(key)
         if order is None:
-            order = make_order(name, geometry)
+            order = make_order(name, logical)
             self._orders[key] = order
         return order
 
-    def session_for(self, case: "SweepCase") -> TestSession:
-        """The memoised power-measurement session for ``case``'s axes."""
-        key = (case.rows, case.columns, case.bits_per_word, case.order,
-               case.any_direction, case.backend, case.banks,
-               case.bank_interleave, case.kernel)
-        session = self._sessions.get(key)
-        if session is None:
-            geometry = case.geometry()
-            session = TestSession(
-                geometry, order=self.order_for(case.order, geometry),
-                any_direction=AddressingDirection(case.any_direction),
-                detailed=False, backend=case.backend, kernel=case.kernel)
-            self._sessions[key] = session
-        return session
-
-    def simulator_for(self, case: "CoverageCase") -> FaultSimulator:
-        """The memoised fault simulator for ``case``'s axes."""
-        key = (case.rows, case.columns, case.any_direction, case.backend)
-        simulator = self._simulators.get(key)
-        if simulator is None:
-            simulator = FaultSimulator(
-                case.geometry(),
-                any_direction=AddressingDirection(case.any_direction),
-                backend=case.backend, trace_cache=self.traces)
-            self._simulators[key] = simulator
-        return simulator
-
-    def controller_for(self, case: "PrrCase") -> BistController:
-        """The memoised BIST controller for ``case``'s axes."""
-        key = (case.rows, case.columns, case.bits_per_word, case.backend,
-               case.banks, case.bank_interleave, case.kernel)
-        controller = self._controllers.get(key)
-        if controller is None:
-            controller = BistController(case.geometry(), backend=case.backend,
-                                        trace_cache=self.traces,
-                                        kernel=case.kernel)
-            self._controllers[key] = controller
-        return controller
+    def facade_for(self, case: AnyCase):
+        """The memoised measurement facade for ``case``'s axes."""
+        kind = kind_of(case)
+        key = _axes_key(case, kind, kind.facade_axes)
+        facade = self._facades.get(key)
+        if facade is None:
+            facade = kind.build_facade(case, self)
+            self._facades[key] = facade
+        return facade
 
     # ------------------------------------------------------------------
     def warm_case(self, case: AnyCase,
@@ -1012,28 +1107,19 @@ class _WorkerState:
         are compiled eagerly; the rest compile lazily on first use.
         Without it (a direct call), every trace the case needs is built.
         """
-        algorithm = get_algorithm(case.algorithm)
-        specs = _trace_warm_specs(case)
+        kind = kind_of(case)
+        facade = self.facade_for(case)
+        specs = kind.warm_specs(case)
         wanted = specs if shared is None else \
             [spec for spec in specs if spec in shared]
-        if isinstance(case, CoverageCase):
-            simulator = self.simulator_for(case)
-            for spec, name in zip(specs, case.orders):
-                if spec in wanted:
-                    simulator.trace_for(algorithm,
-                                        self.order_for(name, case.geometry()))
-        elif isinstance(case, PrrCase):
-            controller = self.controller_for(case)
-            if wanted:
-                controller.warm(algorithm)
-        elif isinstance(case, SweepCase):
-            self.session_for(case)  # the engine itself builds lazily
+        if wanted and kind.warm is not None:
+            kind.warm(self, facade, case, wanted)
 
     def warm(self, cases: Sequence[AnyCase]) -> None:
         """Best-effort pre-warm for a grid: facades for every scenario,
         eager trace compiles only for specs shared by multiple cases."""
         counts = Counter(spec for case in cases
-                         for spec in _trace_warm_specs(case))
+                         for spec in kind_of(case).warm_specs(case))
         shared = frozenset(spec for spec, count in counts.items()
                            if count > 1)
         for case in cases:
@@ -1043,26 +1129,6 @@ class _WorkerState:
                 # Warming must never kill a worker; a genuinely broken
                 # scenario reports its error when it executes.
                 continue
-
-
-def _trace_warm_specs(case: AnyCase) -> List[Tuple]:
-    """Hashable descriptions of the compiled traces a case will need.
-
-    Two cases with a common spec replay the same
-    :class:`~repro.march.execution.OperationTrace`; the worker pre-warm
-    compiles exactly the specs with multiplicity > 1.  Power cases compile
-    no trace (the vectorized test engine works from the order's coordinate
-    arrays directly), so they contribute none.
-    """
-    if isinstance(case, CoverageCase):
-        return [("coverage", case.algorithm, order, case.rows, case.columns,
-                 case.any_direction)
-                for order in case.orders]
-    if isinstance(case, PrrCase):
-        return [("prr", case.algorithm, case.rows, case.columns,
-                 case.bits_per_word, case.backend, case.banks,
-                 case.bank_interleave)]
-    return []
 
 
 #: The worker state of the executing thread (``None`` until a sweep —
@@ -1105,35 +1171,13 @@ def _order_for(name: str, geometry: ArrayGeometry):
     return make_order(name, geometry)
 
 
-def _session_for_case(case: "SweepCase") -> TestSession:
-    """Resolve the session facade, through the worker state when present."""
+def facade_for(case: AnyCase):
+    """The measurement facade of ``case``: memoised by the calling
+    thread's worker state when one is installed, else freshly built."""
     state = _get_worker_state()
     if state is not None:
-        return state.session_for(case)
-    geometry = case.geometry()
-    return TestSession(geometry, order=make_order(case.order, geometry),
-                       any_direction=AddressingDirection(case.any_direction),
-                       detailed=False, backend=case.backend,
-                       kernel=case.kernel)
-
-
-def _simulator_for_case(case: "CoverageCase") -> FaultSimulator:
-    """Resolve the fault simulator, through the worker state when present."""
-    state = _get_worker_state()
-    if state is not None:
-        return state.simulator_for(case)
-    return FaultSimulator(case.geometry(),
-                          any_direction=AddressingDirection(case.any_direction),
-                          backend=case.backend)
-
-
-def _controller_for_case(case: "PrrCase") -> BistController:
-    """Resolve the BIST controller, through the worker state when present."""
-    state = _get_worker_state()
-    if state is not None:
-        return state.controller_for(case)
-    return BistController(case.geometry(), backend=case.backend,
-                          kernel=case.kernel)
+        return state.facade_for(case)
+    return kind_of(case).build_facade(case, None)
 
 
 @dataclass
@@ -1165,18 +1209,18 @@ class SweepResult:
         """Plain-text report of the whole sweep.
 
         A homogeneous sweep renders as one table; a mixed sweep renders
-        one table per record kind (the two kinds have different columns).
+        one table per record kind (the kinds have different columns), in
+        :data:`CASE_KINDS` order.
         """
-        kinds = {_record_kind(record) for record in self.records}
-        if len(kinds) <= 1:
+        rows: Dict[str, List[Dict[str, object]]] = {}
+        for record in self.records:
+            rows.setdefault(_record_kind(record), []).append(
+                record.table_row())
+        if len(rows) <= 1:
             return render_table(self.table_rows(), title=title)
-        sections = []
-        for kind, record_cls in _RECORD_KINDS.items():
-            rows = [record.table_row() for record in self.records
-                    if isinstance(record, record_cls)]
-            if rows:
-                sections.append(render_table(rows, title=f"{title} — {kind}"))
-        return "\n\n".join(sections)
+        return "\n\n".join(
+            render_table(rows[kind.tag], title=f"{title} — {kind.tag}")
+            for kind in CASE_KINDS if kind.tag in rows)
 
     # ------------------------------------------------------------------
     # Export / import
@@ -1205,11 +1249,11 @@ class SweepResult:
         records: List[AnyRecord] = []
         for row in payload["records"]:
             row = dict(row)
-            kind = row.pop("kind", "power")
-            record_cls = _RECORD_KINDS.get(kind)
-            if record_cls is None:
-                raise SweepError(f"{path} contains unknown record kind {kind!r}")
-            records.append(record_cls.from_dict(row))
+            tag = row.pop("kind", _DEFAULT_KIND.tag)
+            kind = kind_for_tag(tag)
+            if kind is None:
+                raise SweepError(f"{path} contains unknown record kind {tag!r}")
+            records.append(kind.record_cls.from_dict(row))
         return cls(records)
 
     def to_csv(self, path: Union[str, Path]) -> Path:
@@ -1226,7 +1270,7 @@ class SweepResult:
             raise SweepError(
                 "CSV export needs a homogeneous sweep (one record kind); "
                 "use to_json for mixed results")
-        record_cls = kinds.pop() if kinds else SweepRecord
+        record_cls = kinds.pop() if kinds else _DEFAULT_KIND.record_cls
         names = [spec.name for spec in fields(record_cls)]
         import io
 
@@ -1243,22 +1287,20 @@ class SweepResult:
     def from_csv(cls, path: Union[str, Path]) -> "SweepResult":
         """Load a sweep previously written by :meth:`to_csv`.
 
-        The record kind is sniffed from the header: coverage exports carry
-        the ``total_faults`` column, PRR-campaign exports
-        ``analytical_prr_bracket``, power exports ``measured_prr`` only.
+        The record kind is sniffed from the header: the first kind whose
+        ``csv_marker`` column is present (coverage exports carry
+        ``total_faults``, PRR-campaign exports ``analytical_prr_bracket``),
+        else the default power kind.
         """
         import csv
 
         with Path(path).open(newline="", encoding="utf-8") as handle:
             reader = csv.DictReader(handle)
             names = reader.fieldnames or []
-            if "total_faults" in names:
-                record_cls: type = CoverageRecord
-            elif "analytical_prr_bracket" in names:
-                record_cls = PrrRecord
-            else:
-                record_cls = SweepRecord
-            return cls([record_cls.from_dict(row) for row in reader])
+            kind = next((row for row in CASE_KINDS
+                         if row.csv_marker is not None
+                         and row.csv_marker in names), _DEFAULT_KIND)
+            return cls([kind.record_cls.from_dict(row) for row in reader])
 
 
 def sweep_grid(geometries: Iterable[GeometryLike],
@@ -1329,11 +1371,12 @@ STRATEGIES = ("auto", "batched", "percase")
 def _batchable(case: AnyCase) -> bool:
     """True when the batched grid engine can stack this scenario.
 
-    Power and PRR scenarios on a vectorizable backend stack; the
-    reference backend (no bulk kernel) and coverage campaigns (a
-    different engine family) execute per case either way.
+    Kinds with ``stack_axes`` (power and PRR scenarios) stack on a
+    vectorizable backend; the reference backend (no bulk kernel) and
+    coverage campaigns (a different engine family) execute per case
+    either way.
     """
-    return isinstance(case, (SweepCase, PrrCase)) and \
+    return kind_of(case).stack_axes is not None and \
         case.backend != "reference"
 
 
@@ -1392,6 +1435,8 @@ class SweepRunner:
             raise SweepError(
                 f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
         self.cases = list(cases)
+        for case in self.cases:
+            kind_of(case)  # fail fast, before any worker pre-warms it
         self.processes = processes
         self.journal = Path(journal) if journal is not None else None
         self.strategy = strategy
@@ -1469,12 +1514,12 @@ class SweepRunner:
                     f"journal {self.journal} entry for case {index} does not "
                     "match this grid; resume requires the journal's original "
                     "grid and shard")
-            record_cls = _RECORD_KINDS.get(entry.kind)
-            if record_cls is None:
+            kind = kind_for_tag(entry.kind)
+            if kind is None:
                 raise SweepError(
                     f"journal {self.journal} contains unknown record kind "
                     f"{entry.kind!r}")
-            restored[index] = record_cls.from_dict(entry.record)
+            restored[index] = kind.record_cls.from_dict(entry.record)
         return restored
 
     def _completions(self, pending: Sequence[Tuple[int, AnyCase]],

@@ -235,8 +235,8 @@ KERNEL_ORDERS = (None, ColumnMajorOrder, RowMajorSnakeOrder, PseudoRandomOrder)
                          [AddressingDirection.UP, AddressingDirection.DOWN])
 def test_flat_kernel_matches_segmented(order_cls, mode, any_direction):
     """The full kernel matrix against the segmented oracle: the flat
-    numpy kernel always, plus the compiled jit/gpu tiers wherever their
-    dependency is importable (the CI optional-deps job)."""
+    numpy kernel always, plus the compiled jit tier wherever numba is
+    importable (the CI optional-deps job)."""
     geometry = ArrayGeometry(rows=16, columns=32)
     segmented, *others = _kernel_engines(geometry, order_cls, any_direction,
                                          detailed=True)

@@ -92,6 +92,8 @@ def test_case_from_dict_rejects_bad_input():
         case_from_dict(["not", "a", "dict"])
     with pytest.raises(SweepError, match="unknown address order"):
         case_from_dict(_power_case(order="zigzag"))
+    with pytest.raises(SweepError, match="unknown kernel 'gpu'"):
+        case_from_dict(_prr_case(kernel="gpu"))
 
 
 def test_fingerprint_digest_is_canonical():
@@ -405,6 +407,9 @@ def test_protocol_error_mapping(tmp_path):
         status, payload = exchange("POST", "/v1/run",
                                    json.dumps({"case": {"kind": "nope"}}))
         assert status == 400 and "unknown case kind" in payload["error"]
+        status, payload = exchange("POST", "/v1/run", json.dumps(
+            {"case": _power_case(kernel="gpu")}))
+        assert status == 400 and "unknown kernel" in payload["error"]
         status, _ = exchange("POST", "/v1/run", "not json")
         assert status == 400
         status, _ = exchange("POST", "/v1/run", json.dumps({"nope": 1}))
@@ -420,7 +425,7 @@ def test_protocol_error_mapping(tmp_path):
                 client.submit({"kind": "nope"})
         # Malformed cases count as request errors; routing rejections
         # (bad path/method/body framing) never reach the campaign layer.
-        assert service.stats_snapshot()["errors"] == 2
+        assert service.stats_snapshot()["errors"] == 3
 
 
 def test_stats_and_health_endpoints(tmp_path):
@@ -447,4 +452,4 @@ def test_served_records_carry_truthful_provenance(tmp_path):
     for response in responses:
         record = response["record"]
         assert record["backend_used"] == "vectorized"
-        assert record["kernel_used"] in ("flat", "jit", "gpu")
+        assert record["kernel_used"] in ("flat", "jit")

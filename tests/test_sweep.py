@@ -29,6 +29,13 @@ from repro.sweep import (
     sweep_grid,
 )
 from repro.sweep.__main__ import main as sweep_main
+from repro.sweep.runner import (
+    CASE_KINDS,
+    case_fingerprint,
+    case_from_dict,
+    fingerprint_digest,
+    kind_of,
+)
 
 
 # ----------------------------------------------------------------------
@@ -97,6 +104,8 @@ def test_runner_serial_and_parallel_agree():
 def test_runner_rejects_empty_and_bad_process_counts():
     with pytest.raises(SweepError):
         SweepRunner([])
+    with pytest.raises(SweepError, match="unknown sweep case type"):
+        SweepRunner(["not a case"], processes=2)
     case = SweepCase(rows=4, columns=4, algorithm="MATS+")
     with pytest.raises(SweepError):
         SweepRunner([case], processes=0)
@@ -111,24 +120,62 @@ def small_result():
     return SweepRunner(cases).run()
 
 
-def test_json_round_trip(small_result, tmp_path):
-    path = small_result.to_json(tmp_path / "sweep.json")
+#: One small scenario per case kind, with record fields its exports must
+#: carry verbatim (the seed and backend provenance of the campaigns).
+ROUND_TRIP_CASES = {
+    "power": (SweepCase(rows=8, columns=8, algorithm="MATS+",
+                        backend="vectorized"),
+              {"algorithm": "MATS+", "rows": 8, "passed": True,
+               "backend_used": "vectorized"}),
+    "coverage": (CoverageCase(rows=8, columns=8, algorithm="March C-",
+                              seed=5),
+                 {"seed": 5, "invariant": True}),
+    "prr": (PrrCase(rows=8, columns=64, algorithm="MATS+",
+                    backend="vectorized", seed=11),
+            {"seed": 11, "backend_used": "vectorized",
+             "within_bracket": True}),
+}
+
+
+@pytest.mark.parametrize("kind", CASE_KINDS, ids=lambda kind: kind.tag)
+def test_kind_round_trip(kind, tmp_path):
+    case, expected = ROUND_TRIP_CASES[kind.tag]
+    assert kind_of(case) is kind
+    assert case_from_dict(case_fingerprint(case)) == case
+    result = SweepRunner([case]).run()
+    record = result.records[0]
+    assert type(record) is kind.record_cls
+    assert kind.record_cls.from_dict(record.as_dict()) == record
+
+    # JSON: kind-tagged rows, every field exported, exact reload.
+    path = result.to_json(tmp_path / "sweep.json")
     payload = json.loads(path.read_text())
     assert payload["format"] == "repro-sweep"
+    assert payload["records"] == [{"kind": kind.tag, **record.as_dict()}]
+    for name, value in expected.items():
+        assert payload["records"][0][name] == value
     loaded = SweepResult.from_json(path)
-    assert [r.as_dict() for r in loaded] == [r.as_dict() for r in small_result]
+    assert type(loaded.records[0]) is kind.record_cls
+    assert [r.as_dict() for r in loaded] == [r.as_dict() for r in result]
+    # The CSV half lives in test_sweep_orchestration.py
+    # (test_csv_round_trip_preserves_bool_seed_backend_fields).
 
 
-def test_csv_round_trip(small_result, tmp_path):
-    path = small_result.to_csv(tmp_path / "sweep.csv")
-    loaded = SweepResult.from_csv(path)
-    assert len(loaded) == len(small_result)
-    original = small_result.records[0]
-    restored = loaded.records[0]
-    assert restored.algorithm == original.algorithm
-    assert restored.rows == original.rows
-    assert restored.passed == original.passed
-    assert restored.measured_prr == pytest.approx(original.measured_prr, rel=1e-12)
+#: Content addresses of a default 8x8 March C- case of each kind.  They
+#: key the serving layer's on-disk cache, journal resume and shard merge,
+#: so a change here orphans every stored result.
+PINNED_DIGESTS = {
+    "power": "868cc91b30eaaa30425dddf0be2b0d527987dd49d01f2f244ed51bd3936058ab",
+    "coverage": "4627571e127e9f63d41601753cba81d1f676e1c769bb952ff4196bd80159a118",
+    "prr": "f6778ecf6811c9dffb659a7b7a3fb8ad477b867847471ea48b1fc46d4866bdfa",
+}
+
+
+@pytest.mark.parametrize("kind", CASE_KINDS, ids=lambda kind: kind.tag)
+def test_case_fingerprint_digests_are_pinned(kind):
+    case = kind.case_cls(rows=8, columns=8, algorithm="March C-")
+    assert fingerprint_digest(case_fingerprint(case)) == \
+        PINNED_DIGESTS[kind.tag]
 
 
 def test_from_json_rejects_foreign_documents(tmp_path):
@@ -248,29 +295,6 @@ def coverage_result():
     return SweepRunner(cases).run()
 
 
-def test_coverage_json_round_trip_records_seed(coverage_result, tmp_path):
-    path = coverage_result.to_json(tmp_path / "campaign.json")
-    payload = json.loads(path.read_text())
-    assert payload["records"][0]["kind"] == "coverage"
-    assert payload["records"][0]["seed"] == 5
-    loaded = SweepResult.from_json(path)
-    assert isinstance(loaded.records[0], CoverageRecord)
-    assert [r.as_dict() for r in loaded] == [r.as_dict() for r in coverage_result]
-
-
-def test_coverage_csv_round_trip_records_seed(coverage_result, tmp_path):
-    path = coverage_result.to_csv(tmp_path / "campaign.csv")
-    header = path.read_text().splitlines()[0]
-    assert "seed" in header.split(",")
-    loaded = SweepResult.from_csv(path)
-    restored = loaded.records[0]
-    assert isinstance(restored, CoverageRecord)
-    assert restored.seed == 5
-    assert restored.invariant == coverage_result.records[0].invariant
-    assert restored.coverage == pytest.approx(
-        coverage_result.records[0].coverage, rel=1e-12)
-
-
 def test_mixed_sweep_round_trips_json_but_not_csv(small_result,
                                                   coverage_result, tmp_path):
     mixed = SweepResult(small_result.records + coverage_result.records)
@@ -339,36 +363,6 @@ def test_execute_case_dispatches_prr_cases():
     assert record.passed and record.within_bracket
     assert "PRR measured" in record.table_row()
     assert "in bracket" in record.progress_line()
-
-
-@pytest.fixture(scope="module")
-def prr_result():
-    cases = prr_grid(["8x64"], ["MATS+"], backend="vectorized", seed=11)
-    return SweepRunner(cases).run()
-
-
-def test_prr_json_round_trip_records_backend_and_seed(prr_result, tmp_path):
-    path = prr_result.to_json(tmp_path / "prr.json")
-    payload = json.loads(path.read_text())
-    assert payload["records"][0]["kind"] == "prr"
-    assert payload["records"][0]["seed"] == 11
-    assert payload["records"][0]["backend_used"] == "vectorized"
-    loaded = SweepResult.from_json(path)
-    assert isinstance(loaded.records[0], PrrRecord)
-    assert [r.as_dict() for r in loaded] == [r.as_dict() for r in prr_result]
-
-
-def test_prr_csv_round_trip_records_backend_and_seed(prr_result, tmp_path):
-    path = prr_result.to_csv(tmp_path / "prr.csv")
-    header = path.read_text().splitlines()[0].split(",")
-    assert "seed" in header and "backend_used" in header
-    loaded = SweepResult.from_csv(path)
-    restored = loaded.records[0]
-    assert isinstance(restored, PrrRecord)
-    assert restored.seed == 11
-    assert restored.within_bracket == prr_result.records[0].within_bracket
-    assert restored.measured_prr == pytest.approx(
-        prr_result.records[0].measured_prr, rel=1e-12)
 
 
 def test_cli_prr_grid_runs_and_exports(tmp_path, capsys):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import fields
 
 import pytest
 
@@ -459,6 +460,9 @@ def test_csv_round_trip_preserves_bool_seed_backend_fields(tmp_path, index,
     record = _sample_records()[index]
     path = tmp_path / f"{kind}.csv"
     SweepResult([record]).to_csv(path)
+    # One column per record field: the header alone identifies the kind.
+    header = path.read_text().splitlines()[0].split(",")
+    assert header == [spec.name for spec in fields(type(record))]
     restored = SweepResult.from_csv(path).records[0]
     assert type(restored) is type(record)
     # CSV delivers strings; the importer must coerce them back.
@@ -524,7 +528,7 @@ def test_worker_initializer_prewarms_shared_traces(clear_worker_state):
     assert state.order_for("row-major", geometry) is \
         state.order_for("row-major", geometry)
     # Same configuration axes -> the same facade instance.
-    assert state.simulator_for(cases[0]) is state.simulator_for(cases[1])
+    assert state.facade_for(cases[0]) is state.facade_for(cases[1])
 
 
 def test_worker_initializer_skips_unshared_traces(clear_worker_state):
@@ -547,10 +551,23 @@ def test_worker_state_reuses_controllers_and_sessions(clear_worker_state):
     power = _fast_cases(2)
     runner_module._init_worker(prr + power)
     state = runner_module._get_worker_state()
-    assert state.controller_for(prr[0]) is state.controller_for(prr[1])
-    assert state.session_for(power[0]) is state.session_for(power[1])
+    assert state.facade_for(prr[0]) is state.facade_for(prr[1])
+    assert state.facade_for(power[0]) is state.facade_for(power[1])
     # The seed-swept PRR scenario shares one trace: pre-compiled at init.
     assert len(state.traces) == 1
+
+
+def test_coverage_after_a_banked_power_case_stays_vectorized(
+        clear_worker_state):
+    # A banked power case memoises its row-major order first; the unbanked
+    # coverage case on the same 8x8 must get an order whose geometry
+    # matches its own (the vectorized fault campaign rejects any other
+    # and the case falls back to the reference engine, "mixed").
+    result = SweepRunner([
+        SweepCase(rows=8, columns=8, algorithm="MATS+", banks=2),
+        CoverageCase(rows=8, columns=8, algorithm="March C-"),
+    ], processes=1).run()
+    assert result.records[1].backend_used == "vectorized"
 
 
 def test_worker_state_results_match_fresh_facades(clear_worker_state):
