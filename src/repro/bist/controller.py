@@ -123,12 +123,6 @@ class BistController:
         # ``trace_cache`` optionally shares compiled traces across
         # controllers (the sweep orchestrator passes its process-local one).
         self._trace_cache = trace_cache
-        # One AddressOrder instance per generator configuration, so the
-        # vectorized campaign's trace cache (keyed by order identity) hits
-        # across runs and modes while still following a reconfigured
-        # address generator.
-        self._address_order = None
-        self._address_order_key = None
 
     @property
     def last_backend_used(self) -> Optional[str]:
@@ -142,20 +136,6 @@ class BistController:
     @last_backend_used.setter
     def last_backend_used(self, backend: Optional[str]) -> None:
         self._dispatch.note_backend_used(backend)
-
-    def _current_order(self):
-        """The generator's AddressOrder, cached per generator configuration."""
-        key = (id(self.address_generator), self.address_generator.order)
-        if self._address_order is None or self._address_order_key != key:
-            self._address_order = self.address_generator.as_address_order()
-            self._address_order_key = key
-        return self._address_order
-
-    def address_order(self):
-        """The :class:`~repro.march.ordering.AddressOrder` of the current
-        generator configuration (one shared instance per configuration, so
-        trace caches keyed by order identity hit across runs)."""
-        return self._current_order()
 
     def measure_batch(self, requests, collect_errors: bool = True):
         """Measure several ``(algorithm, low_power)`` runs in one stacked pass.
@@ -186,7 +166,7 @@ class BistController:
                 "measure_batch stacks runs on the vectorized power "
                 "campaign; this controller is configured for the "
                 "reference backend — use run() per algorithm instead")
-        order = self._current_order()
+        order = self.address_generator.as_address_order()
         for algorithm, low_power in requests:
             algorithm.validate()
             if low_power and not self.address_generator.supports_low_power_mode():
@@ -219,16 +199,16 @@ class BistController:
         cache — including the compiled segment structure, the dominant
         cold cost at large geometries — and warms the resolved kernel
         tier (loading numba's on-disk cache for ``kernel="jit"``), so the
-        first :meth:`run` measures instead of compiling.  The sweep
-        orchestrator's worker initializer calls this for every algorithm
-        a worker may be handed.  A no-op on the reference backend (which
-        walks fresh each run) and when the engine is unavailable.
+        first :meth:`run` measures instead of compiling.  A no-op on the
+        reference backend (which walks fresh each run) and when the engine
+        is unavailable.
         """
         algorithm.validate()
         if self.backend == "reference":
             return
         try:
-            self._dispatch.engine.warm(algorithm, self._current_order())
+            self._dispatch.engine.warm(
+                algorithm, self.address_generator.as_address_order())
         except (EngineError, ImportError):  # warming is best-effort
             pass
 
@@ -249,7 +229,7 @@ class BistController:
         algorithm.validate()
         chosen = self._dispatch.validate(
             backend if backend is not None else self.backend)
-        order = self._current_order()
+        order = self.address_generator.as_address_order()
 
         def measure_vectorized(campaign) -> BistResult:
             result = campaign.measure(

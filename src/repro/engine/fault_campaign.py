@@ -508,18 +508,6 @@ class VectorizedFaultCampaign:
         self.kernel = kernel
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _rank_for(order: AddressOrder) -> "np.ndarray":
-        """``rank[linear_address] = position`` in the ascending sequence.
-
-        Memoised on the order instance itself
-        (:meth:`~repro.march.ordering.AddressOrder.rank_array`), so every
-        campaign — and every tool sharing that order object, e.g. through
-        the sweep orchestrator's per-worker order memo — pays the
-        inversion once instead of once per engine instance.
-        """
-        return order.rank_array()
-
     def _linear(self, coordinate: Tuple[int, int]) -> int:
         row, word = coordinate
         self.geometry.validate_coordinates(row, word)
@@ -567,7 +555,9 @@ class VectorizedFaultCampaign:
             else:
                 entry[1].append(index)
 
-        rank = self._rank_for(order)
+        # Memoised on the trace's order, so every campaign replaying one
+        # cached trace shares a single inversion.
+        rank = trace.order.rank_array()
         contexts = _element_contexts(trace)
         word_count = self.geometry.word_count
         results: List[Optional[DetectionResult]] = [None] * len(injections)

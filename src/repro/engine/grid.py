@@ -38,6 +38,7 @@ from typing import Dict, Iterator, List, Tuple
 
 from ..march.element import AddressingDirection
 from ..march.library import get_algorithm
+from ..march.ordering import make_order
 from ..sram.memory import OperatingMode
 from .dispatch import EngineError
 
@@ -73,7 +74,7 @@ class BatchedGridEngine:
 
         self._runner = sweep_runner
         self.cases = list(cases)
-        #: Optional pre-warmed :class:`repro.sweep.runner._WorkerState` to
+        #: Optional :class:`repro.sweep.runner._WorkerState` to
         #: evaluate under.  Long-lived callers (the campaign service runs
         #: one batch per request wave on a pool thread) pass their thread's
         #: persistent state so compiled traces and facades stay warm across
@@ -104,9 +105,9 @@ class BatchedGridEngine:
         """Yield every case's ``(position, record)``, stacked where possible.
 
         A process-local worker state (the same construct the per-case
-        strategy pre-warms in its pool workers) is installed for the
+        strategy installs in its pool workers) is installed for the
         duration, so the fallback per-case executions share the batch's
-        memoised orders, facades and compiled traces.
+        memoised facades and compiled traces.
         """
         runner = self._runner
         state = self._worker_state if self._worker_state is not None \
@@ -217,7 +218,7 @@ class BatchedGridEngine:
         orders = []
         for _, case in members:
             algorithm = get_algorithm(case.algorithm)
-            order = state.order_for(case.order, geometry)
+            order = make_order(case.order, geometry)
             trace = state.traces.get(algorithm, order, direction)
             orders.append(order)
             requests.append((algorithm, OperatingMode.FUNCTIONAL, trace))

@@ -62,9 +62,11 @@ class VectorizedPowerCampaign:
     Implements the :class:`repro.bist.backend.PowerBackend` protocol.  One
     campaign instance owns a :class:`~repro.march.execution.TraceCache`
     (optionally shared with a fault simulator) and one
-    :class:`~repro.engine.vectorized.VectorizedEngine` per address order,
-    so a full library sweep compiles each (algorithm, order, direction)
-    run once and replays it for both operating modes.
+    :class:`~repro.engine.vectorized.VectorizedEngine` per address order
+    content (:attr:`~repro.march.ordering.AddressOrder.key`), so a full
+    library sweep compiles each (algorithm, order, direction) run once and
+    replays it for both operating modes, whichever order objects the
+    callers pass.
     """
 
     name = "vectorized"
@@ -84,25 +86,24 @@ class VectorizedPowerCampaign:
         self.kernel = kernel
         #: compiled traces shared across runs (and optionally across tools).
         self.traces = trace_cache if trace_cache is not None else TraceCache()
-        self._engines: Dict[int, Tuple[AddressOrder, VectorizedEngine]] = {}
+        self._engines: Dict[Tuple, VectorizedEngine] = {}
         # Keyed by id() — or None for the default background — with the
-        # function kept in the value (like _engines) so a recycled id
-        # cannot alias a different background.
+        # function kept in the value so a recycled id cannot alias a
+        # different background.
         self._initial_values: Dict[Optional[int],
                                    Tuple[BackgroundFunction, "np.ndarray"]] = {}
 
     # ------------------------------------------------------------------
     def _engine_for(self, order: AddressOrder) -> VectorizedEngine:
         """The cached aggregate engine for ``order`` (stress tracking off)."""
-        entry = self._engines.get(id(order))
-        if entry is None:
+        engine = self._engines.get(order.key)
+        if engine is None:
             engine = VectorizedEngine(self.geometry, tech=self.tech, order=order,
                                       any_direction=self.any_direction,
                                       detailed=False, trace_cache=self.traces,
                                       kernel=self.kernel)
-            self._engines[id(order)] = (order, engine)
-            return engine
-        return entry[1]
+            self._engines[order.key] = engine
+        return engine
 
     def trace_for(self, algorithm: MarchAlgorithm,
                   order: AddressOrder) -> OperationTrace:

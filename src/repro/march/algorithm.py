@@ -10,6 +10,7 @@ operations to every address, so the test length in clock cycles is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple
 
 from .element import AddressingDirection, MarchElement
@@ -31,6 +32,17 @@ class MarchAlgorithm:
     def __post_init__(self) -> None:
         if not self.elements:
             raise MarchValidationError(f"March algorithm {self.name!r} has no elements")
+
+    @cached_property
+    def key(self) -> str:
+        """Content identity: equal algorithms have equal keys.
+
+        The field-by-field ``repr`` of the value, built once per instance.
+        A string caches its own hash, so cache lookups keyed on it stay
+        cheap where hashing the nested frozen dataclass would walk every
+        element and operation on every call.
+        """
+        return repr(self)
 
     # ------------------------------------------------------------------
     # Table-1 statistics

@@ -502,30 +502,32 @@ class SegmentWalk:
 
 
 class TraceCache:
-    """Memoises compiled traces per (algorithm, order, direction).
+    """Memoises compiled traces per (algorithm, order, direction) content.
 
-    Keyed by object identity — the cache holds strong references to the
-    algorithm and order, so the ids stay valid for the cache's lifetime.
-    One cache instance typically lives inside a fault simulator, where the
-    same algorithm/order pair is replayed for every injection of a
-    campaign and across campaign repetitions.
+    Keyed by value — :attr:`MarchAlgorithm.key`, :attr:`AddressOrder.key`
+    and the direction — so equal algorithms and orders share one trace
+    whatever objects carry them: a fresh order built per case, or the
+    order of a banked geometry of the same size, hits the entry the first
+    one compiled.  One cache instance typically lives inside a fault
+    simulator, where the same run is replayed for every injection of a
+    campaign and across campaign repetitions, or in a sweep worker, where
+    every facade of the process shares it.
     """
 
     def __init__(self) -> None:
-        self._traces: Dict[Tuple[int, int, AddressingDirection],
-                           Tuple[MarchAlgorithm, AddressOrder, OperationTrace]] = {}
+        self._traces: Dict[Tuple[str, Tuple, AddressingDirection],
+                           OperationTrace] = {}
 
     def get(self, algorithm: MarchAlgorithm, order: AddressOrder,
             any_direction: AddressingDirection = AddressingDirection.UP
             ) -> OperationTrace:
         """Return the compiled trace, building it on first use."""
-        key = (id(algorithm), id(order), any_direction)
-        entry = self._traces.get(key)
-        if entry is None:
+        key = (algorithm.key, order.key, any_direction)
+        trace = self._traces.get(key)
+        if trace is None:
             trace = compile_trace(algorithm, order, any_direction)
-            self._traces[key] = (algorithm, order, trace)
-            return trace
-        return entry[2]
+            self._traces[key] = trace
+        return trace
 
     def __len__(self) -> int:
         return len(self._traces)

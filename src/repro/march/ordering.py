@@ -17,6 +17,7 @@ exact reverse of ascending traversal, as DOF 1 requires.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import Iterator, List, Sequence, Tuple
 
 from ..sram.geometry import ArrayGeometry
@@ -49,6 +50,21 @@ class AddressOrder:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self.geometry.word_count
+
+    @property
+    def key(self) -> Tuple:
+        """Content identity: two orders with equal keys visit the same
+        ``(row, word)`` sequence.
+
+        The order class plus the logical address map — rows, columns and
+        bits per word.  Banking is left out: it moves rows between
+        sub-arrays without changing the address map, so banked and
+        unbanked arrays of one size share one key (and one compiled trace
+        in a :class:`~repro.march.execution.TraceCache`).
+        """
+        geometry = self.geometry
+        return (type(self), geometry.rows, geometry.columns,
+                geometry.bits_per_word)
 
     def coordinate_at(self, position: int) -> Coordinate:
         """(row, word) visited at ``position`` of the ascending sequence."""
@@ -123,9 +139,10 @@ class AddressOrder:
         The inverse permutation of :meth:`coordinate_arrays`, used by the
         vectorized fault-campaign engine to locate every victim/aggressor
         in one gather.  Materialised lazily and cached on the order
-        instance (like the coordinate arrays), so campaigns sharing one
-        order object — e.g. through the sweep orchestrator's per-worker
-        order memo — pay the inversion exactly once.  Requires ``numpy``.
+        instance (like the coordinate arrays); campaigns read it through
+        their cached trace's order, so every campaign replaying one
+        compiled trace pays the inversion exactly once.  Requires
+        ``numpy``.
         """
         cached = getattr(self, "_rank_array_cache", None)
         if cached is None:
@@ -243,9 +260,19 @@ class PseudoRandomOrder(AddressOrder):
     def __init__(self, geometry: ArrayGeometry, seed: int = 2006) -> None:
         super().__init__(geometry)
         self.seed = seed
-        rng = random.Random(seed)
-        self._permutation = list(range(geometry.word_count))
-        rng.shuffle(self._permutation)
+
+    @property
+    def key(self) -> Tuple:
+        """The base content key plus the seed that fixes the permutation."""
+        return super().key + (self.seed,)
+
+    @cached_property
+    def _permutation(self) -> List[int]:
+        """The shuffled address list, drawn on first use: an order whose
+        compiled trace is already cached never pays the shuffle."""
+        permutation = list(range(self.geometry.word_count))
+        random.Random(self.seed).shuffle(permutation)
+        return permutation
 
     def coordinate_at(self, position: int) -> Coordinate:
         if not 0 <= position < len(self):

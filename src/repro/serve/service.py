@@ -97,8 +97,8 @@ class CampaignService:
     enough for a client burst to land in one stacked pass, short enough
     to be invisible next to engine work.  ``workers`` bounds the
     executor pool (default: ``min(4, cpu)``); each pool thread keeps a
-    persistent pre-warmed :class:`~repro.sweep.runner._WorkerState`, so
-    compiled traces and facades stay warm across waves.
+    persistent :class:`~repro.sweep.runner._WorkerState`, so compiled
+    traces and facades stay warm across waves.
     """
 
     def __init__(self, cache_dir: Union[str, Path],
@@ -210,7 +210,14 @@ class CampaignService:
                         break
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", "0") or "0")
+                declared = headers.get("content-length", "")
+                if declared and not (declared.isascii()
+                                     and declared.isdigit()):
+                    await self._respond(writer, 400,
+                                        {"error": "invalid Content-Length"},
+                                        keep_alive=False)
+                    break
+                length = int(declared or "0")
                 body = await reader.readexactly(length) if length else b""
                 status, payload = await self._route(method, target, body)
                 keep_alive = headers.get("connection", "").lower() != "close"

@@ -2,7 +2,7 @@
 
 * :mod:`repro.sweep.runner` — :class:`SweepRunner` and friends: grid
   construction (test-power scenarios *and* fault-coverage campaigns),
-  streaming multiprocessing fan-out with pre-warmed workers, deterministic
+  streaming multiprocessing fan-out with trace-sharing workers, deterministic
   sharding, JSON/CSV export;
 * :mod:`repro.sweep.journal` — the append-only JSONL run journal that
   makes long campaigns durable and resumable;

@@ -29,9 +29,9 @@ Design notes:
 * cases carry only names and numbers (no live objects), so they travel
   cheaply to worker processes and round-trip through JSON;
 * every per-kind decision — JSON tag, record class, work unit, facade,
-  trace pre-warming, stackability, CSV header marker — is read from the
-  kind's :class:`CaseKind` row, so a new kind is one row plus its
-  case/record classes and work unit;
+  stackability, CSV header marker — is read from the kind's
+  :class:`CaseKind` row, so a new kind is one row plus its case/record
+  classes and work unit;
 * :func:`execute_case` runs any case through its row's work unit and is
   what a ``multiprocessing.Pool`` maps over;
 * execution **streams**: the runner consumes ``imap_unordered``, so each
@@ -39,10 +39,10 @@ Design notes:
   is still running, and the final :class:`SweepResult` restores the stable
   input order;
 * every worker process owns one :class:`_WorkerState` — memoised
-  address orders and facades and a shared
-  :class:`~repro.march.execution.TraceCache`, pre-warmed by the pool
-  initializer — so the same algorithm x order trace is compiled once per
-  worker instead of once per case;
+  facades and a shared, content-keyed
+  :class:`~repro.march.execution.TraceCache` — so the same
+  algorithm x order trace is compiled once per worker, on first use,
+  instead of once per case;
 * a campaign is durable: ``journal=path`` appends one fsync'd JSONL line
   per completed case (:mod:`repro.sweep.journal`), ``run(resume=True)``
   reloads it and re-executes only the missing cases, and
@@ -61,7 +61,6 @@ import multiprocessing
 import os
 import threading
 import time
-from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import (
@@ -380,11 +379,9 @@ def _kernels_used(*results) -> str:
 
 def _build_session(case: SweepCase,
                    state: Optional["_WorkerState"]) -> TestSession:
-    """The power-measurement facade of ``case`` (orders via ``state``)."""
+    """The power-measurement facade of ``case``."""
     geometry = case.geometry()
-    order = state.order_for(case.order, geometry) if state is not None \
-        else make_order(case.order, geometry)
-    return TestSession(geometry, order=order,
+    return TestSession(geometry, order=make_order(case.order, geometry),
                        any_direction=AddressingDirection(case.any_direction),
                        detailed=False, backend=case.backend,
                        kernel=case.kernel)
@@ -505,7 +502,7 @@ def run_coverage_case(case: CoverageCase) -> CoverageRecord:
     """
     geometry = case.geometry()
     algorithm = get_algorithm(case.algorithm)
-    orders = [_order_for(name, geometry) for name in case.orders]
+    orders = [make_order(name, geometry) for name in case.orders]
     locations = default_fault_locations(geometry, sample=case.sample,
                                         seed=case.seed)
     injections = build_fault_list(geometry, locations=locations,
@@ -548,23 +545,6 @@ def _build_simulator(case: CoverageCase,
         any_direction=AddressingDirection(case.any_direction),
         backend=case.backend,
         trace_cache=state.traces if state is not None else None)
-
-
-def _coverage_warm_specs(case: CoverageCase) -> List[Tuple]:
-    """One trace spec per order: ``(tag, algorithm, order, rows, columns,
-    direction)``."""
-    return [("coverage", case.algorithm, order, case.rows, case.columns,
-             case.any_direction)
-            for order in case.orders]
-
-
-def _warm_coverage(state: "_WorkerState", simulator: FaultSimulator,
-                   case: CoverageCase, specs: List[Tuple]) -> None:
-    """Compile the per-order fault-campaign traces named by ``specs``."""
-    algorithm = get_algorithm(case.algorithm)
-    geometry = case.geometry()
-    for _, _, order, *_ in specs:
-        simulator.trace_for(algorithm, state.order_for(order, geometry))
 
 
 def coverage_grid(geometries: Iterable[GeometryLike],
@@ -810,19 +790,6 @@ def _build_controller(case: PrrCase,
         kernel=case.kernel)
 
 
-def _prr_warm_specs(case: PrrCase) -> List[Tuple]:
-    """The one campaign trace of ``case``: BIST traversal on its geometry."""
-    return [("prr", case.algorithm, case.rows, case.columns,
-             case.bits_per_word, case.backend, case.banks,
-             case.bank_interleave)]
-
-
-def _warm_prr(state: "_WorkerState", controller: BistController,
-              case: PrrCase, specs: List[Tuple]) -> None:
-    """Compile the campaign trace (and segment walk) of ``case``."""
-    controller.warm(get_algorithm(case.algorithm))
-
-
 def prr_grid(geometries: Iterable[GeometryLike],
              algorithms: Iterable[str],
              backend: str = "auto",
@@ -878,17 +845,11 @@ class CaseKind:
     record_cls: type
     #: the per-case work unit: ``execute(case) -> record``.
     execute: Callable[[Any], Any]
-    #: ``build_facade(case, state)``: the measurement facade, resolving
-    #: orders and traces through ``state`` when given.
+    #: ``build_facade(case, state)``: the measurement facade, sharing
+    #: ``state``'s compiled traces when given.
     build_facade: Callable[[Any, Optional["_WorkerState"]], Any]
     #: case fields that, with the full geometry, key the facade memo.
     facade_axes: Tuple[str, ...]
-    #: hashable descriptions of the compiled traces a case needs; the
-    #: pool initializer compiles the specs several cases share.
-    warm_specs: Callable[[Any], List[Tuple]]
-    #: ``warm(state, facade, case, specs)`` compiles the traces named by
-    #: ``specs`` (``None``: the kind compiles no trace up front).
-    warm: Optional[Callable[..., None]]
     #: case fields that, with the full geometry, key one stacked pass of
     #: the batched grid engine (``BatchedGridEngine._run_<tag>_group``);
     #: ``None``: the kind always executes per case.
@@ -904,20 +865,15 @@ CASE_KINDS: Tuple[CaseKind, ...] = (
     CaseKind(tag="power", case_cls=SweepCase, record_cls=SweepRecord,
              execute=run_case, build_facade=_build_session,
              facade_axes=("order", "any_direction", "backend", "kernel"),
-             # the vectorized test engine works from the order's
-             # coordinate arrays directly: no trace to pre-compile.
-             warm_specs=lambda case: [], warm=None,
              stack_axes=("any_direction", "kernel"), csv_marker=None),
     CaseKind(tag="coverage", case_cls=CoverageCase,
              record_cls=CoverageRecord, execute=run_coverage_case,
              build_facade=_build_simulator,
              facade_axes=("any_direction", "backend"),
-             warm_specs=_coverage_warm_specs, warm=_warm_coverage,
              stack_axes=None, csv_marker="total_faults"),
     CaseKind(tag="prr", case_cls=PrrCase, record_cls=PrrRecord,
              execute=run_prr_case, build_facade=_build_controller,
              facade_axes=("backend", "kernel"),
-             warm_specs=_prr_warm_specs, warm=_warm_prr,
              stack_axes=("backend", "kernel"),
              csv_marker="analytical_prr_bracket"),
 )
@@ -1035,57 +991,27 @@ def _execute_indexed(item: Tuple[int, AnyCase]) -> Tuple[int, AnyRecord]:
 
 
 # ----------------------------------------------------------------------
-# Process-local worker state (orders, facades, compiled traces)
+# Process-local worker state (facades, compiled traces)
 # ----------------------------------------------------------------------
 class _WorkerState:
     """Caches one sweep worker shares across every case it executes.
 
     Cases are plain names, so the naive work unit rebuilds every object per
     case — in particular it recompiles the same algorithm x order
-    :class:`~repro.march.execution.OperationTrace` over and over, because
-    the trace caches inside the facades key on *object identity* and each
-    case used to construct fresh orders and facades.  The worker state
-    fixes both halves: address orders are memoised by (name, bank-free
-    geometry), and facades (:class:`TestSession` /
-    :class:`FaultSimulator` / :class:`BistController`) by (kind, full
-    geometry, the kind's ``facade_axes``) with one shared
-    :class:`~repro.march.execution.TraceCache` threaded through, so
-    identities are stable and every compile happens once per worker.
-
-    :meth:`warm` is the pool initializer's pre-warming pass: it memoises
-    the grid's orders and facades and compiles the traces that several
-    pending cases *share* (e.g. a seed sweep repeating one
-    algorithm x order) before the first case arrives.  Traces only one
-    case needs are left to compile lazily on first use — pre-building
-    them in every worker would multiply the compile work by the worker
-    count for zero extra cache hits.  Warming is best-effort: a scenario
-    the engine rejects warms nothing and surfaces its real error during
-    execution.
+    :class:`~repro.march.execution.OperationTrace` over and over.  The
+    worker state holds one :class:`~repro.march.execution.TraceCache`,
+    keyed by algorithm and order *content*, threaded through every
+    facade it builds, so each trace compiles once per worker — lazily,
+    when the first case needing it runs — however many order objects the
+    cases construct.  Facades (:class:`TestSession` /
+    :class:`FaultSimulator` / :class:`BistController`) are memoised by
+    (kind, full geometry, the kind's ``facade_axes``).
     """
 
     def __init__(self) -> None:
         #: compiled traces shared by every facade of this worker.
         self.traces = TraceCache()
-        self._orders: Dict[Tuple[str, ArrayGeometry], object] = {}
         self._facades: Dict[Tuple, object] = {}
-
-    # ------------------------------------------------------------------
-    def order_for(self, name: str, geometry: ArrayGeometry):
-        """The memoised :class:`AddressOrder` for ``name`` on ``geometry``.
-
-        Banking leaves the logical address map unchanged, so the order is
-        keyed on — and built for — the bank-free geometry: banked and
-        unbanked arrays of one size share one order and its compiled
-        traces, and the order's own ``geometry`` always equals its key.
-        """
-        logical = ArrayGeometry(rows=geometry.rows, columns=geometry.columns,
-                                bits_per_word=geometry.bits_per_word)
-        key = (name, logical)
-        order = self._orders.get(key)
-        if order is None:
-            order = make_order(name, logical)
-            self._orders[key] = order
-        return order
 
     def facade_for(self, case: AnyCase):
         """The memoised measurement facade for ``case``'s axes."""
@@ -1096,39 +1022,6 @@ class _WorkerState:
             facade = kind.build_facade(case, self)
             self._facades[key] = facade
         return facade
-
-    # ------------------------------------------------------------------
-    def warm_case(self, case: AnyCase,
-                  shared: Optional[frozenset] = None) -> None:
-        """Memoise one scenario's facade and compile its (shared) traces.
-
-        With ``shared`` given (the initializer's pass), only traces whose
-        spec appears in it — i.e. traces several pending cases reuse —
-        are compiled eagerly; the rest compile lazily on first use.
-        Without it (a direct call), every trace the case needs is built.
-        """
-        kind = kind_of(case)
-        facade = self.facade_for(case)
-        specs = kind.warm_specs(case)
-        wanted = specs if shared is None else \
-            [spec for spec in specs if spec in shared]
-        if wanted and kind.warm is not None:
-            kind.warm(self, facade, case, wanted)
-
-    def warm(self, cases: Sequence[AnyCase]) -> None:
-        """Best-effort pre-warm for a grid: facades for every scenario,
-        eager trace compiles only for specs shared by multiple cases."""
-        counts = Counter(spec for case in cases
-                         for spec in kind_of(case).warm_specs(case))
-        shared = frozenset(spec for spec, count in counts.items()
-                           if count > 1)
-        for case in cases:
-            try:
-                self.warm_case(case, shared)
-            except Exception:
-                # Warming must never kill a worker; a genuinely broken
-                # scenario reports its error when it executes.
-                continue
 
 
 #: The worker state of the executing thread (``None`` until a sweep —
@@ -1145,11 +1038,9 @@ def _get_worker_state() -> Optional[_WorkerState]:
     return getattr(_WORKER_STATE_SLOT, "state", None)
 
 
-def _init_worker(cases: Sequence[AnyCase]) -> None:
-    """``multiprocessing.Pool`` initializer: fresh pre-warmed worker state."""
-    state = _WorkerState()
-    _set_worker_state(state)
-    state.warm(cases)
+def _init_worker() -> None:
+    """``multiprocessing.Pool`` initializer: a fresh worker state."""
+    _set_worker_state(_WorkerState())
 
 
 def _set_worker_state(state: Optional[_WorkerState]) -> None:
@@ -1161,14 +1052,6 @@ def _set_worker_state(state: Optional[_WorkerState]) -> None:
     pool workers die with their pool, which bounds theirs naturally.
     """
     _WORKER_STATE_SLOT.state = state
-
-
-def _order_for(name: str, geometry: ArrayGeometry):
-    """Resolve an address order, through the worker state when present."""
-    state = _get_worker_state()
-    if state is not None:
-        return state.order_for(name, geometry)
-    return make_order(name, geometry)
 
 
 def facade_for(case: AnyCase):
@@ -1407,10 +1290,9 @@ class SweepRunner:
     runs in-process; anything larger maps the cases over a
     ``multiprocessing.Pool`` of that size.  Workers rebuild every object
     from the case's names (only plain data crosses process boundaries) and
-    are pre-warmed by an initializer that compiles the grid's
-    algorithm x order traces into a process-local cache once, instead of
-    once per case.  The batched strategy is in-process and ignores
-    ``processes``.
+    compile each algorithm x order trace into a process-local cache the
+    first time a case needs it, instead of once per case.  The batched
+    strategy is in-process and ignores ``processes``.
 
     Execution streams in both strategies: completions are consumed as
     they happen, so progress lines appear live and each finished case is
@@ -1436,7 +1318,7 @@ class SweepRunner:
                 f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
         self.cases = list(cases)
         for case in self.cases:
-            kind_of(case)  # fail fast, before any worker pre-warms it
+            kind_of(case)  # fail fast, before any worker receives it
         self.processes = processes
         self.journal = Path(journal) if journal is not None else None
         self.strategy = strategy
@@ -1529,9 +1411,9 @@ class SweepRunner:
 
         The batched strategy streams the grid engine's stacked-group
         completions.  Per-case sequential mode executes in input order
-        in-process (warming the local state first); parallel mode streams
-        ``imap_unordered`` completions out of a pre-warmed pool, so the
-        slowest case never gates reporting of the others.
+        in-process under a run-scoped worker state; parallel mode streams
+        ``imap_unordered`` completions out of a pool, so the slowest case
+        never gates reporting of the others.
         """
         if not pending:
             return
@@ -1546,12 +1428,9 @@ class SweepRunner:
                 yield indices[position], record
             return
         workers = self.resolved_processes(len(pending))
-        cases = [case for _, case in pending]
         if workers <= 1:
-            state = _WorkerState()
-            state.warm(cases)
             previous = _get_worker_state()
-            _set_worker_state(state)
+            _set_worker_state(_WorkerState())
             try:
                 for index, case in pending:
                     yield index, execute_case(case)
@@ -1559,8 +1438,7 @@ class SweepRunner:
                 _set_worker_state(previous)
             return
         with multiprocessing.get_context().Pool(
-                processes=workers, initializer=_init_worker,
-                initargs=(cases,)) as pool:
+                processes=workers, initializer=_init_worker) as pool:
             for index, record in pool.imap_unordered(_execute_indexed,
                                                      list(pending)):
                 yield index, record

@@ -46,6 +46,7 @@ from repro.march import (
     MATS,
     MATS_PLUS,
     ColumnMajorOrder,
+    MarchAlgorithm,
     OperationTrace,
     PseudoRandomOrder,
     RowMajorOrder,
@@ -112,6 +113,26 @@ class TestOperationTrace:
         assert cache.get(MARCH_CM, order) is first
         assert cache.get(MARCH_CM, order, AddressingDirection.DOWN) is not first
         assert len(cache) == 2
+
+        # Content keys: a distinct but equal order, and the same-size
+        # banked geometry (banking leaves the address map unchanged), hit.
+        assert cache.get(MARCH_CM, RowMajorOrder(GEOMETRY)) is first
+        banked = ArrayGeometry(rows=GEOMETRY.rows, columns=GEOMETRY.columns,
+                               banks=2)
+        assert cache.get(MARCH_CM, RowMajorOrder(banked)) is first
+        assert len(cache) == 2
+
+        # A different permutation seed is a different order.
+        seeded = [cache.get(MARCH_CM, PseudoRandomOrder(GEOMETRY, seed=seed))
+                  for seed in (1, 2)]
+        assert seeded[0] is not seeded[1]
+        assert len(cache) == 4
+
+        # Same name, different elements: a different algorithm.
+        renamed = MarchAlgorithm(name=MARCH_CM.name,
+                                 elements=MARCH_CM.elements[:-1])
+        assert cache.get(renamed, order) is not first
+        assert len(cache) == 5
 
     def test_shared_coordinate_lists_across_same_direction_elements(self):
         trace = OperationTrace(MARCH_CM, RowMajorOrder(GEOMETRY))

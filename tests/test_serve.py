@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -426,6 +427,23 @@ def test_protocol_error_mapping(tmp_path):
         # Malformed cases count as request errors; routing rejections
         # (bad path/method/body framing) never reach the campaign layer.
         assert service.stats_snapshot()["errors"] == 3
+
+
+def test_invalid_content_length_is_answered_400(tmp_path):
+    with running_service(tmp_path / "cache") as (service, host, port):
+        for length in (b"abc", b"-5", b"+5", b"1_0"):
+            with socket.create_connection((host, port), timeout=30) as raw:
+                raw.sendall(b"POST /v1/run HTTP/1.1\r\n"
+                            b"Content-Length: " + length + b"\r\n\r\n")
+                response = http.client.HTTPResponse(raw)
+                response.begin()
+                assert response.status == 400
+                assert json.loads(response.read()) == \
+                    {"error": "invalid Content-Length"}
+                assert response.getheader("Connection") == "close"
+        # The service keeps answering on a new connection.
+        with ServeClient(host, port) as client:
+            assert client.health() == {"status": "ok"}
 
 
 def test_stats_and_health_endpoints(tmp_path):

@@ -9,8 +9,8 @@ Covers the PR's bugfixes and the orchestration subsystem around them:
 * the append-only JSONL run journal, ``run(resume=True)`` semantics and
   grid-mismatch detection;
 * deterministic sharding (disjoint, exhaustive, stable);
-* the per-worker pre-warmed state (memoised orders/facades, one shared
-  ``TraceCache``);
+* the per-worker state (memoised facades, one shared content-keyed
+  ``TraceCache`` compiling each trace lazily, once);
 * JSON/CSV/journal round-trips of all three record kinds, including the
   stringly-typed CSV coercion of bool/seed/backend fields;
 * the new CLI surface (``--journal`` / ``--resume`` / ``--shard``, warnings
@@ -41,7 +41,6 @@ from repro.sweep import (
     SweepRunner,
     case_fingerprint,
     case_kind,
-    coverage_grid,
     load_journal,
     shard_cases,
     sweep_grid,
@@ -503,7 +502,7 @@ def test_journal_round_trip_of_all_kinds(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Worker state: memoised orders/facades, pre-warmed shared trace cache
+# Worker state: memoised facades, shared content-keyed trace cache
 # ----------------------------------------------------------------------
 @pytest.fixture
 def clear_worker_state():
@@ -514,47 +513,32 @@ def clear_worker_state():
     runner_module._set_worker_state(None)
 
 
-def test_worker_initializer_prewarms_shared_traces(clear_worker_state):
-    # A seed sweep: both cases replay the same algorithm x order traces,
-    # so the initializer compiles them (3 orders) exactly once up front.
-    cases = [CoverageCase(rows=8, columns=8, algorithm="MATS+",
-                          include_coupling=False, sample=2, seed=seed)
-             for seed in (1, 2)]
-    runner_module._init_worker(cases)
-    state = runner_module._get_worker_state()
-    assert state is not None
-    assert len(state.traces) == len(cases[0].orders)
-    geometry = cases[0].geometry()
-    assert state.order_for("row-major", geometry) is \
-        state.order_for("row-major", geometry)
-    # Same configuration axes -> the same facade instance.
-    assert state.facade_for(cases[0]) is state.facade_for(cases[1])
-
-
-def test_worker_initializer_skips_unshared_traces(clear_worker_state):
-    # A grid of unique scenarios (the --paper-table1 shape) must NOT
-    # pre-compile the whole grid in every worker — each trace is needed
-    # by exactly one case and compiles lazily when that case runs.
-    cases = coverage_grid(["8x8"], ["MATS+", "March C-"],
-                          orders=("row-major",), sample=2)
-    runner_module._init_worker(cases)
-    state = runner_module._get_worker_state()
-    assert len(state.traces) == 0
-    # A direct (shared=None) warm still compiles everything the case needs.
-    state.warm_case(cases[0])
-    assert len(state.traces) == 1
-
-
 def test_worker_state_reuses_controllers_and_sessions(clear_worker_state):
     prr = [PrrCase(rows=8, columns=64, algorithm="MATS+",
                    backend="vectorized", seed=seed) for seed in (1, 2)]
     power = _fast_cases(2)
-    runner_module._init_worker(prr + power)
+    runner_module._init_worker()
     state = runner_module._get_worker_state()
     assert state.facade_for(prr[0]) is state.facade_for(prr[1])
     assert state.facade_for(power[0]) is state.facade_for(power[1])
-    # The seed-swept PRR scenario shares one trace: pre-compiled at init.
-    assert len(state.traces) == 1
+
+
+def test_worker_state_compiles_traces_lazily_and_once(clear_worker_state):
+    # Nothing compiles up front; a seed sweep replaying one algorithm x
+    # order set compiles each trace on its first case only, although
+    # every case builds its own order objects.
+    cases = [CoverageCase(rows=8, columns=8, algorithm="MATS+",
+                          include_coupling=False, sample=2, seed=seed)
+             for seed in (1, 2)]
+    runner_module._init_worker()
+    state = runner_module._get_worker_state()
+    assert state is not None and len(state.traces) == 0
+    # Same configuration axes -> the same facade instance.
+    assert state.facade_for(cases[0]) is state.facade_for(cases[1])
+    runner_module.execute_case(cases[0])
+    assert len(state.traces) == len(cases[0].orders)
+    runner_module.execute_case(cases[1])
+    assert len(state.traces) == len(cases[0].orders)
 
 
 def test_coverage_after_a_banked_power_case_stays_vectorized(
@@ -573,7 +557,7 @@ def test_coverage_after_a_banked_power_case_stays_vectorized(
 def test_worker_state_results_match_fresh_facades(clear_worker_state):
     cases = _mixed_cases()
     fresh = [runner_module.execute_case(case) for case in cases]
-    runner_module._init_worker(cases)
+    runner_module._init_worker()
     warmed = [runner_module.execute_case(case) for case in cases]
     drop = lambda d: {k: v for k, v in d.items() if k != "elapsed_s"}
     for lhs, rhs in zip(fresh, warmed):
