@@ -94,10 +94,11 @@ def _run_four_with_kill(root, cases, lease_timeout):
     """Victim first (killed mid-lease), then three stealing survivors."""
     coordinator = Coordinator.create(root, cases, workers=4)
     ledger = coordinator.ledger
-    # The victim journals per case so durable entries appear while its
-    # lease is still claimed — the window in which the SIGKILL must land
-    # for the steal to have anything to recover.
-    victim = spawn_worker(root, worker_id="victim", strategy="percase",
+    # The victim journals case by case (one stacked group per geometry),
+    # so durable entries appear while its lease is still claimed — the
+    # window in which the SIGKILL must land for the steal to have
+    # anything to recover.
+    victim = spawn_worker(root, worker_id="victim",
                           lease_timeout=lease_timeout)
     try:
         deadline = time.time() + 600

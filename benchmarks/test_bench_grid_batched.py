@@ -8,12 +8,13 @@ This experiment measures the two layers this series replaced that with:
 
 * the **flat kernel** — whole-run NumPy reductions over the compiled
   segment structure, memoised on the shared operation trace;
-* the **batched grid strategy** — all algorithms, orders and both
+* the **in-process grid engine** — all algorithms, orders and both
   planners of a geometry evaluated in one stacked kernel pass.
 
-The baseline is the PR 4 configuration reproduced exactly: per-case
-strategy on the segmented kernel (``default_kernel("segmented")`` pins the
-process default, reaching the engines inside the facades).  The claim
+The baseline is the original configuration reproduced exactly: one case at
+a time through the per-case work unit under one worker state, on the
+segmented kernel (``default_kernel("segmented")`` pins the process
+default, reaching the engines inside the facades).  The claim
 asserted here is the series' acceptance bar: the batched paper-scale grid
 beats that baseline by >= 5x wall-clock with records that are
 field-for-field identical (``elapsed_s`` aside), and the measurement is
@@ -38,7 +39,14 @@ import pytest
 from repro.analysis import render_table
 from repro.engine.vectorized import default_kernel
 from repro.sweep import SweepRunner
-from repro.sweep.runner import paper_prr_cases, paper_table1_cases, prr_grid, sweep_grid
+from repro.sweep.runner import (
+    _WorkerState,
+    execute_case,
+    paper_prr_cases,
+    paper_table1_cases,
+    prr_grid,
+    sweep_grid,
+)
 
 #: Acceptance bar on the full paper-scale grid (PR 4 baseline / batched).
 MINIMUM_GRID_SPEEDUP = 5.0
@@ -54,6 +62,13 @@ def _grid_cases():
                 + sweep_grid(["64x512"], ALGORITHMS,
                              backends=("vectorized",)), "64x512")
     return paper_prr_cases() + paper_table1_cases(), "512x512"
+
+
+def _run_percase(cases):
+    """The per-case loop: every case through its work unit, sharing one
+    worker state (facades and compiled traces), in input order."""
+    state = _WorkerState()
+    return [execute_case(case, state) for case in cases]
 
 
 def _drop_elapsed(record):
@@ -77,10 +92,10 @@ def test_batched_grid_speedup_over_percase_segmented(benchmark, once,
                                                      bench_record):
     cases, geometry = _grid_cases()
 
-    # --- PR 4 baseline: per-case strategy on the segmented kernel -------
+    # --- baseline: per-case loop on the segmented kernel ----------------
     started = time.perf_counter()
     with default_kernel("segmented"):
-        baseline = SweepRunner(cases, processes=1, strategy="percase").run()
+        baseline = _run_percase(cases)
     baseline_s = time.perf_counter() - started
 
     # --- this series: one stacked flat-kernel pass per geometry ---------
@@ -88,7 +103,7 @@ def test_batched_grid_speedup_over_percase_segmented(benchmark, once,
 
     def run_batched():
         started = time.perf_counter()
-        result = SweepRunner(cases, strategy="batched").run()
+        result = SweepRunner(cases, processes=1).run()
         timing["batched"] = time.perf_counter() - started
         return result
 
@@ -108,8 +123,8 @@ def test_batched_grid_speedup_over_percase_segmented(benchmark, once,
     # Records are the experiment's ground truth.  Against the PR 4
     # baseline the energies agree to floating-point summation order (the
     # flat kernel evaluates the same physics with closed-form sums);
-    # against the per-case strategy on today's kernel they are identical
-    # bit for bit.
+    # against the per-case loop on today's kernel they are identical bit
+    # for bit.
     assert len(batched) == len(baseline)
     for expected, observed in zip(baseline, batched):
         left = _drop_kernel_provenance(_drop_elapsed(expected))
@@ -120,7 +135,7 @@ def test_batched_grid_speedup_over_percase_segmented(benchmark, once,
                 assert right[field] == pytest.approx(value, rel=1e-9), field
             else:
                 assert right[field] == value, field
-    percase_flat = SweepRunner(cases, processes=1, strategy="percase").run()
+    percase_flat = _run_percase(cases)
     for expected, observed in zip(percase_flat, batched):
         assert _drop_elapsed(observed) == _drop_elapsed(expected)
 
@@ -137,7 +152,7 @@ def test_batched_grid_speedup_over_percase_segmented(benchmark, once,
         speedup=speedup,
         cases=len(cases),
         geometry=geometry,
-        baseline="percase strategy + segmented kernel (PR 4)",
+        baseline="per-case loop + segmented kernel",
     )
 
 
@@ -158,19 +173,19 @@ def test_banked_batched_grid_speedup_over_percase_segmented(benchmark, once,
     """The 4-bank Table 1 grid: per-bank pre-charge accounting (bank-select
     transition counting, bank-height bit lines) must ride the stacked flat
     kernel at the same speedup class as the monolithic grid, with records
-    identical to the per-case strategy."""
+    identical to the per-case loop."""
     cases, geometry = _banked_grid_cases()
 
     started = time.perf_counter()
     with default_kernel("segmented"):
-        baseline = SweepRunner(cases, processes=1, strategy="percase").run()
+        baseline = _run_percase(cases)
     baseline_s = time.perf_counter() - started
 
     timing = {}
 
     def run_batched():
         started = time.perf_counter()
-        result = SweepRunner(cases, strategy="batched").run()
+        result = SweepRunner(cases, processes=1).run()
         timing["batched"] = time.perf_counter() - started
         return result
 
@@ -198,7 +213,7 @@ def test_banked_batched_grid_speedup_over_percase_segmented(benchmark, once,
             else:
                 assert right[field] == value, field
         assert left["banks"] == 4
-    percase_flat = SweepRunner(cases, processes=1, strategy="percase").run()
+    percase_flat = _run_percase(cases)
     for expected, observed in zip(percase_flat, batched):
         assert _drop_elapsed(observed) == _drop_elapsed(expected)
 
@@ -216,5 +231,5 @@ def test_banked_batched_grid_speedup_over_percase_segmented(benchmark, once,
         cases=len(cases),
         geometry=geometry,
         banks=4,
-        baseline="percase strategy + segmented kernel",
+        baseline="per-case loop + segmented kernel",
     )

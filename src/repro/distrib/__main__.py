@@ -154,8 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("root", help="campaign directory")
     worker.add_argument("--worker-id", default=None,
                         help="worker identity (default: host-pid)")
-    worker.add_argument("--strategy", default="auto",
-                        help="SweepRunner strategy per lease")
+    worker.add_argument("--strategy", default="auto", choices=("auto",),
+                        help="accepted only for command-line compatibility; "
+                             "'auto' is the only value")
     worker.add_argument("--processes", type=int, default=1,
                         help="per-case fan-out inside this worker")
     worker.add_argument("--lease-timeout", type=float, default=None,
@@ -176,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--factor", type=int, default=DEFAULT_CHUNK_FACTOR)
     run.add_argument("--lease-timeout", type=float, default=30.0,
                      help="steal chunks silent this long (seconds)")
-    run.add_argument("--strategy", default="auto",
-                     help="SweepRunner strategy per lease")
     run.add_argument("--deadline", type=float, default=None,
                      help="abort supervision after this many seconds")
     _add_grid_arguments(run)
@@ -212,7 +211,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "worker":
             worker = DistribWorker(
                 args.root, worker_id=args.worker_id,
-                strategy=args.strategy, processes=args.processes,
+                processes=args.processes,
                 poll_interval=args.poll_interval,
                 heartbeat_interval=args.heartbeat_interval,
                 lease_timeout=args.lease_timeout)
@@ -225,7 +224,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = run_distributed(
                 args.root, cases, args.workers,
                 lease_timeout=args.lease_timeout,
-                strategy=args.strategy,
                 min_chunk=args.min_chunk, factor=args.factor,
                 supervise_deadline=args.deadline)
             print(report.summary())

@@ -173,15 +173,13 @@ class Coordinator:
 
 def spawn_worker(root: Union[str, Path],
                  worker_id: Optional[str] = None,
-                 strategy: str = "auto",
                  processes: int = 1,
                  lease_timeout: Optional[float] = None,
                  heartbeat_interval: Optional[float] = None,
                  extra_args: Sequence[str] = ()) -> subprocess.Popen:
     """Start one ``python -m repro.distrib worker`` child process."""
     command = [sys.executable, "-m", "repro.distrib", "worker",
-               str(root), "--strategy", strategy,
-               "--processes", str(processes)]
+               str(root), "--processes", str(processes)]
     if worker_id is not None:
         command += ["--worker-id", worker_id]
     if lease_timeout is not None:
@@ -195,7 +193,6 @@ def spawn_worker(root: Union[str, Path],
 def run_distributed(root: Union[str, Path], cases: Sequence[AnyCase],
                     workers: int,
                     lease_timeout: float = 30.0,
-                    strategy: str = "auto",
                     min_chunk: int = DEFAULT_MIN_CHUNK,
                     factor: int = DEFAULT_CHUNK_FACTOR,
                     supervise_deadline: Optional[float] = None
@@ -210,7 +207,6 @@ def run_distributed(root: Union[str, Path], cases: Sequence[AnyCase],
     coordinator = Coordinator.create(root, cases, workers,
                                      min_chunk=min_chunk, factor=factor)
     children = [spawn_worker(root, worker_id=f"worker-{number}",
-                             strategy=strategy,
                              lease_timeout=lease_timeout)
                 for number in range(workers)]
     try:

@@ -65,14 +65,12 @@ class DistribWorker:
 
     def __init__(self, root: Union[str, Path],
                  worker_id: Optional[str] = None,
-                 strategy: str = "auto",
                  processes: int = 1,
                  poll_interval: float = DEFAULT_POLL_INTERVAL,
                  heartbeat_interval: Optional[float] = None,
                  lease_timeout: Optional[float] = None) -> None:
         self.ledger = LeaseLedger(root)
         self.worker_id = worker_id or default_worker_id()
-        self.strategy = strategy
         self.processes = processes
         self.poll_interval = poll_interval
         self.heartbeat_interval = heartbeat_interval
@@ -110,7 +108,6 @@ class DistribWorker:
             lease_cases,
             processes=self.processes,
             journal=journal_path,
-            strategy=self.strategy,
             header_meta={
                 "lease_id": lease.lease_id,
                 "case_indices": list(lease.case_indices),

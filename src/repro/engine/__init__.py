@@ -27,8 +27,9 @@
 * :mod:`repro.engine.grid` — the grid-batched evaluation layer:
   per-geometry groups of sweep scenarios (all algorithms, orders and both
   planners) evaluated through one stacked flat-kernel pass sharing one
-  compiled-trace cache, with records bit-identical to the per-case path
-  (the ``strategy="batched"`` seam of :class:`repro.sweep.SweepRunner`).
+  compiled-trace cache, with records bit-identical to the per-case work
+  unit it runs everything else through (the in-process executor of
+  :class:`repro.sweep.SweepRunner`).
 
 The engines plug into their session APIs through a ``backend`` switch
 (:class:`repro.core.session.TestSession`,

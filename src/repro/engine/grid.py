@@ -17,18 +17,21 @@ flat kernel (:meth:`repro.engine.vectorized.VectorizedEngine
 same helpers the per-case work units use
 (:func:`repro.sweep.runner.power_record` / :func:`~repro.sweep.runner
 .prr_record`), and the kernel's per-slot reductions are stacking-invariant,
-so every record is bit-identical to what ``strategy="percase"`` produces
-(``elapsed_s``, a wall-clock observation, aside).
+so every record is bit-identical to what the per-case work unit
+(:func:`repro.sweep.runner.execute_case`) produces (``elapsed_s``, a
+wall-clock observation, aside).
 
 Cases the stacked pass cannot represent — reference-backend scenarios,
-fault-coverage campaigns, runs the exact bulk replay rejects — fall back to
-the ordinary per-case work unit *in the same process*, still sharing the
-group's trace cache, with per-case semantics (including ``backend="auto"``
-mode-by-mode fallback) preserved verbatim.
+fault-coverage campaigns, runs the exact bulk replay rejects, and every
+case when numpy is not importable — run through that per-case work unit
+*in the same process*, under the same worker state, with per-case
+semantics (including ``backend="auto"`` mode-by-mode fallback) preserved
+verbatim.
 
-This engine is the ``strategy="batched"`` seam of
-:class:`repro.sweep.runner.SweepRunner`; journal, resume and shard
-semantics live entirely in the runner and are unchanged by the strategy.
+This engine is the in-process executor of
+:class:`repro.sweep.runner.SweepRunner` and the wave executor of
+:class:`repro.serve.service.CampaignService`; journal, resume and shard
+semantics live entirely in the runner.
 """
 
 from __future__ import annotations
@@ -41,18 +44,6 @@ from ..march.library import get_algorithm
 from ..march.ordering import make_order
 from ..sram.memory import OperatingMode
 from .dispatch import EngineError
-
-try:  # numpy is required for the stacked kernel only
-    import numpy as np
-except ImportError:  # pragma: no cover - the container ships numpy
-    np = None  # type: ignore[assignment]
-
-
-def _require_numpy() -> None:
-    if np is None:  # pragma: no cover - exercised only without numpy
-        raise EngineError(
-            "the batched grid engine requires numpy; use the per-case "
-            "sweep strategy (strategy='percase') instead")
 
 
 class BatchedGridEngine:
@@ -67,9 +58,8 @@ class BatchedGridEngine:
     """
 
     def __init__(self, cases, worker_state=None) -> None:
-        _require_numpy()
-        # Deferred: the runner imports this module lazily (numpy optional),
-        # so importing it back here at module level would be circular.
+        # Deferred: the runner imports this module, so importing it back
+        # here at module level would be circular.
         from ..sweep import runner as sweep_runner
 
         self._runner = sweep_runner
@@ -104,39 +94,32 @@ class BatchedGridEngine:
     def completions(self) -> Iterator[Tuple[int, object]]:
         """Yield every case's ``(position, record)``, stacked where possible.
 
-        A process-local worker state (the same construct the per-case
-        strategy installs in its pool workers) is installed for the
-        duration, so the fallback per-case executions share the batch's
-        memoised facades and compiled traces.
+        One worker state (the given one, else a fresh one scoped to this
+        call) serves the stacked passes and every per-case execution, so
+        they all share memoised facades and compiled traces.
         """
         runner = self._runner
         state = self._worker_state if self._worker_state is not None \
             else runner._WorkerState()
-        previous = runner._get_worker_state()
-        runner._set_worker_state(state)
-        try:
-            groups, percase = self._plan()
-            # Records emit in input order (matching the per-case
-            # sequential journal order); each stacked group evaluates
-            # lazily, when its first member is reached.
-            evaluators = {}
-            for (tag, *_), members in groups.items():
-                runner_fn = getattr(self, f"_run_{tag}_group")
-                for position, _ in members:
-                    evaluators[position] = (runner_fn, state, members)
-            ready = {}
-            percase_cases = dict(percase)
-            for position in range(len(self.cases)):
-                if position in percase_cases:
-                    yield position, runner.execute_case(
-                        percase_cases[position])
-                    continue
-                if position not in ready:
-                    runner_fn, group_state, members = evaluators[position]
-                    ready.update(runner_fn(group_state, members))
-                yield position, ready.pop(position)
-        finally:
-            runner._set_worker_state(previous)
+        groups, percase = self._plan()
+        # Records emit in input order; each stacked group evaluates
+        # lazily, when its first member is reached.
+        evaluators = {}
+        for (tag, *_), members in groups.items():
+            runner_fn = getattr(self, f"_run_{tag}_group")
+            for position, _ in members:
+                evaluators[position] = (runner_fn, members)
+        ready = {}
+        percase_cases = dict(percase)
+        for position in range(len(self.cases)):
+            if position in percase_cases:
+                yield position, runner.execute_case(
+                    percase_cases[position], state)
+                continue
+            if position not in ready:
+                runner_fn, members = evaluators[position]
+                ready.update(runner_fn(state, members))
+            yield position, ready.pop(position)
 
     # ------------------------------------------------------------------
     def _plan(self):
@@ -154,8 +137,9 @@ class BatchedGridEngine:
         runner = self._runner
         groups: Dict[Tuple, List[Tuple[int, object]]] = {}
         percase: List[Tuple[int, object]] = []
+        numpy_ok = runner._numpy_importable()
         for position, case in enumerate(self.cases):
-            if runner._batchable(case):
+            if runner._batchable(case, numpy_ok):
                 kind = runner.kind_of(case)
                 key = runner._axes_key(case, kind, kind.stack_axes)
                 groups.setdefault(key, []).append((position, case))
@@ -186,7 +170,7 @@ class BatchedGridEngine:
 
         if outcomes is None:
             for position, case in members:
-                yield position, runner.execute_case(case)
+                yield position, runner.execute_case(case, state)
             return
         share = elapsed / len(members)
         for index, (position, case) in enumerate(members):
@@ -197,7 +181,7 @@ class BatchedGridEngine:
                 # Exact per-case semantics for the unsupported run:
                 # backend="auto" falls back to the reference engine,
                 # backend="vectorized" surfaces the engine error.
-                yield position, runner.execute_case(case)
+                yield position, runner.execute_case(case, state)
             else:
                 yield position, self._noted(case, runner.prr_record(
                     case, functional, low_power, share))
@@ -206,7 +190,7 @@ class BatchedGridEngine:
         """One stacked pass over a session power group (all orders, both
         planners)."""
         runner = self._runner
-        from .vectorized import VectorizedEngine  # deferred: numpy optional
+        from .vectorized import VectorizedEngine  # deferred: needs numpy
 
         first_case = members[0][1]
         geometry = first_case.geometry()
@@ -232,7 +216,7 @@ class BatchedGridEngine:
         for index, (position, case) in enumerate(members):
             pair = outcomes[2 * index:2 * index + 2]
             if any(isinstance(outcome, Exception) for outcome in pair):
-                yield position, runner.execute_case(case)
+                yield position, runner.execute_case(case, state)
                 continue
             algorithm = get_algorithm(case.algorithm)
             results = []

@@ -247,7 +247,7 @@ class default_kernel:
     cannot reach them)::
 
         with default_kernel("segmented"):
-            SweepRunner(cases, strategy="percase").run()
+            records = [execute_case(case) for case in cases]
     """
 
     def __init__(self, kernel: str) -> None:
@@ -656,8 +656,8 @@ class VectorizedEngine:
         slot in a single stacked NumPy pass, so a whole sweep axis shares
         one trip through the kernel.  Per-slot reductions are sequential
         within each slot's own segments, which makes every unit's result
-        **bit-identical** to running it alone — the property the batched
-        sweep strategy relies on.
+        **bit-identical** to running it alone — the property the grid
+        engine's stacked passes rely on.
 
         Returns one ``(by_source, counters, cycles, stress)`` tuple per
         request, in order.  A unit the exact replay cannot represent

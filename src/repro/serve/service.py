@@ -49,6 +49,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from ..engine.grid import BatchedGridEngine
 from ..sweep.runner import (
     SweepError,
     _WorkerState,
@@ -58,7 +59,6 @@ from ..sweep.runner import (
     execute_case,
     fingerprint_digest,
 )
-from ..sweep import runner as sweep_runner
 from .cache import ResultCache
 from .trace import WorkloadTrace
 
@@ -408,8 +408,6 @@ class CampaignService:
         cases = [pending.case for pending in batch]
         records: List[object] = [None] * len(batch)
         try:
-            from ..engine.grid import BatchedGridEngine
-
             engine = BatchedGridEngine(cases, worker_state=state)
             for position, record in engine.completions():
                 records[position] = record
@@ -417,18 +415,13 @@ class CampaignService:
             # The stacked pass died mid-wave (one poisoned case must not
             # starve its neighbours): rescue the unanswered cases one at
             # a time, capturing failures per case.
-            previous = sweep_runner._get_worker_state()
-            sweep_runner._set_worker_state(state)
-            try:
-                for index, case in enumerate(cases):
-                    if records[index] is not None:
-                        continue
-                    try:
-                        records[index] = execute_case(case)
-                    except Exception as exc:  # noqa: BLE001 - per-case verdict
-                        records[index] = exc
-            finally:
-                sweep_runner._set_worker_state(previous)
+            for index, case in enumerate(cases):
+                if records[index] is not None:
+                    continue
+                try:
+                    records[index] = execute_case(case, state)
+                except Exception as exc:  # noqa: BLE001 - per-case verdict
+                    records[index] = exc
         outcomes: List[object] = []
         for pending, record in zip(batch, records):
             if isinstance(record, Exception) or record is None:

@@ -55,7 +55,6 @@ from .journal import JournalError
 from .runner import (
     DEFAULT_SAMPLE,
     INVARIANCE_ORDERS,
-    STRATEGIES,
     SweepError,
     SweepRunner,
     coverage_grid,
@@ -111,18 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "'blocked' contiguous row ranges, 'interleaved' "
                              "rows striped across banks (default: blocked)")
     parser.add_argument("--processes", type=int, default=None, metavar="N",
-                        help="worker processes for the per-case fan-out "
-                             "(default: one per CPU core, clamped to the "
-                             "grid size; ignored by --strategy batched)")
-    parser.add_argument("--strategy", default="auto", choices=STRATEGIES,
-                        help="grid evaluation strategy: 'batched' stacks "
-                             "every same-geometry scenario (all algorithms, "
-                             "orders and both planners) into one flat-kernel "
-                             "pass sharing one compiled-trace cache, "
-                             "'percase' executes one scenario at a time, "
-                             "'auto' (default) picks batched whenever numpy "
-                             "is available and no multi-process fan-out was "
-                             "requested; records are identical either way")
+                        help="worker processes for a per-case pool; 1 "
+                             "runs in-process, stacking every same-geometry "
+                             "scenario into one flat-kernel pass (default: "
+                             "in-process when every scenario stacks, else "
+                             "one per CPU core, clamped to the grid size; "
+                             "records are identical either way)")
     parser.add_argument("--paper", action="store_true",
                         help="preset: the paper's 512x512 measured Table 1 "
                              "(overrides --geometry/--algorithm/--order)")
@@ -314,16 +307,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         runner = SweepRunner(cases, processes=args.processes,
-                             journal=args.journal, strategy=args.strategy)
-        resolved_strategy = runner.resolve_strategy()
-        if args.strategy == "batched" and resolved_strategy != "batched":
-            print("warning: --strategy batched requires numpy, which is "
-                  "unavailable; falling back to per-case execution (the "
-                  "journal header records the strategy that actually ran)",
-                  file=sys.stderr)
-        elif args.strategy == "batched" and args.processes not in (None, 1):
-            print("warning: --strategy batched evaluates the grid "
-                  "in-process; --processes is ignored", file=sys.stderr)
+                             journal=args.journal)
         result = runner.run(progress=not args.quiet, resume=args.resume)
     except (SweepError, JournalError, OSError) as exc:
         # A mismatched/corrupt journal or an unwritable journal path.

@@ -39,9 +39,9 @@ class JournalError(Exception):
 #: The ``format`` tag every journal line carries.
 JOURNAL_FORMAT = "repro-sweep-journal"
 #: The ``format`` tag of the optional first-line header (run metadata:
-#: the execution strategy actually used, grid size, ...).  Loaders skip
-#: header lines when collecting entries, so journals with and without a
-#: header resume identically.
+#: grid size, pending cases, an orchestrator's lease identity, ...).
+#: Loaders skip header lines when collecting entries, so journals with
+#: and without a header resume identically.
 JOURNAL_HEADER_FORMAT = "repro-sweep-journal-header"
 #: The journal schema version this module writes.
 JOURNAL_VERSION = 1
@@ -176,7 +176,7 @@ class RunJournal:
 
         Meant for the very start of a fresh journal (the orchestrator
         writes it right after probing writability); carries free-form run
-        metadata such as the execution strategy that actually ran.
+        metadata such as the grid size or a distributed lease's identity.
         Loaders skip it when collecting entries, so resume semantics are
         unchanged.
         """

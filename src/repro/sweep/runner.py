@@ -32,16 +32,18 @@ Design notes:
   stackability, CSV header marker — is read from the kind's
   :class:`CaseKind` row, so a new kind is one row plus its case/record
   classes and work unit;
-* :func:`execute_case` runs any case through its row's work unit and is
-  what a ``multiprocessing.Pool`` maps over;
-* execution **streams**: the runner consumes ``imap_unordered``, so each
-  completed case is journaled and reported live while the rest of the grid
-  is still running, and the final :class:`SweepResult` restores the stable
-  input order;
-* every worker process owns one :class:`_WorkerState` — memoised
-  facades and a shared, content-keyed
+* :func:`execute_case` runs any case through its row's work unit; the
+  in-process grid engine (:class:`repro.engine.grid.BatchedGridEngine`)
+  stacks what it can and calls it for the rest, and a
+  ``multiprocessing.Pool`` maps it over the grid;
+* execution **streams**: the runner consumes completions as they happen,
+  so each completed case is journaled and reported live while the rest of
+  the grid is still running, and the final :class:`SweepResult` restores
+  the stable input order;
+* every executor owns one :class:`_WorkerState`, passed to the work unit
+  explicitly — memoised facades and a shared, content-keyed
   :class:`~repro.march.execution.TraceCache` — so the same
-  algorithm x order trace is compiled once per worker, on first use,
+  algorithm x order trace is compiled once per executor, on first use,
   instead of once per case;
 * a campaign is durable: ``journal=path`` appends one fsync'd JSONL line
   per completed case (:mod:`repro.sweep.journal`), ``run(resume=True)``
@@ -56,6 +58,7 @@ Design notes:
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -82,6 +85,7 @@ from ..core.prr import AnalyticalPowerModel
 from ..core.session import BACKENDS, ModeComparison, TestSession
 from ..durable import atomic_write_bytes, atomic_write_text
 from ..engine.dispatch import KERNEL_CHOICES
+from ..engine.grid import BatchedGridEngine
 from ..faults import (
     DEFAULT_LOCATION_SEED,
     FAULT_BACKENDS,
@@ -139,16 +143,32 @@ def parse_geometry(spec: GeometryLike) -> ArrayGeometry:
     return ArrayGeometry(*spec)
 
 
+#: Runtime type of every case field, by its (string) annotation.
+_FIELD_TYPES: Dict[str, Union[type, Tuple[type, ...]]] = {
+    "int": int, "str": str, "bool": bool,
+    "Optional[str]": (str, type(None)), "Tuple[str, ...]": tuple,
+}
+
 def _validate_case(case, backends: Tuple[str, ...], orders: Sequence[str],
                    kernel: Optional[str] = None) -> None:
     """The fail-fast checks every case kind shares, spelled once.
 
-    Address orders, backend and kernel tier must be known names, the
-    algorithm must resolve and the geometry must be consistent — a bad
-    case fails at construction, not halfway through a campaign.
+    Every field must have its annotated type, address orders, backend,
+    kernel tier and ``⇕`` direction must be known names, the algorithm
+    must resolve and the geometry must be consistent.  Any violation is a
+    :class:`SweepError`, so a bad case fails at construction, not halfway
+    through a campaign, and a served request gets a 400.
     """
+    for spec in fields(case):
+        value = getattr(case, spec.name)
+        expected = _FIELD_TYPES[spec.type]
+        if not isinstance(value, expected) or \
+                (expected is int and isinstance(value, bool)):
+            raise SweepError(
+                f"case field {spec.name!r} must be {spec.type}, "
+                f"got {value!r}")
     for order in orders:
-        if order not in ORDER_REGISTRY:
+        if not isinstance(order, str) or order not in ORDER_REGISTRY:
             raise SweepError(
                 f"unknown address order {order!r}; "
                 f"available: {sorted(ORDER_REGISTRY)}")
@@ -158,8 +178,20 @@ def _validate_case(case, backends: Tuple[str, ...], orders: Sequence[str],
     if kernel is not None and kernel not in KERNEL_CHOICES:
         raise SweepError(
             f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}")
-    get_algorithm(case.algorithm)  # fail fast on unknown names
-    case.geometry()  # fail fast on inconsistent dimensions/banking
+    direction = getattr(case, "any_direction", "up")
+    try:
+        concrete = AddressingDirection(direction) != AddressingDirection.ANY
+    except ValueError:
+        concrete = False
+    if not concrete:
+        raise SweepError(
+            f"unknown any_direction {direction!r}; a ⇕ element resolves "
+            f"to 'up' or 'down'")
+    try:
+        get_algorithm(case.algorithm)
+        case.geometry()  # inconsistent dimensions/banking
+    except (KeyError, ValueError) as exc:
+        raise SweepError(exc.args[0] if exc.args else str(exc)) from exc
 
 
 class _Record:
@@ -221,8 +253,7 @@ class SweepCase:
     #: vectorized-engine kernel tier (:data:`KERNEL_CHOICES`); ``None``
     #: follows the process default (see
     #: :func:`repro.engine.vectorized.default_kernel`), which is what
-    #: keeps kernel-pinning context managers effective under every
-    #: strategy.
+    #: keeps kernel-pinning context managers effective in-process.
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -298,10 +329,12 @@ class SweepRecord(_Record):
                 f"({self.elapsed_s:.2f} s, {self.backend_used})")
 
 
-def run_case(case: SweepCase) -> SweepRecord:
+def run_case(case: SweepCase,
+             state: Optional["_WorkerState"] = None) -> SweepRecord:
     """Execute one scenario: both modes, measured and analytical PRR.
 
-    This is the multiprocessing work unit.  Backend selection and fallback
+    This is the per-case work unit (``state``, when given, supplies the
+    memoised facade and compiled traces).  Backend selection and fallback
     are the session facade's own (the shared
     :class:`repro.engine.dispatch.BackendDispatcher` contract): a requested
     ``"vectorized"`` backend surfaces engine errors, ``"auto"`` falls back
@@ -309,7 +342,7 @@ def run_case(case: SweepCase) -> SweepRecord:
     reports which engine(s) actually measured the comparison.
     """
     algorithm = get_algorithm(case.algorithm)
-    session = facade_for(case)
+    session = facade_for(case, state)
 
     started = time.perf_counter()
     functional = session.run(algorithm, OperatingMode.FUNCTIONAL)
@@ -326,10 +359,10 @@ def power_record(case: SweepCase, functional, low_power, backend_used: str,
                  elapsed: float) -> SweepRecord:
     """Assemble the :class:`SweepRecord` of one measured power scenario.
 
-    Shared by :func:`run_case` and the batched grid engine
-    (:class:`repro.engine.grid.BatchedGridEngine`), so the two execution
-    strategies derive records from raw mode measurements identically —
-    the field-for-field equivalence the batched strategy guarantees.
+    Shared by :func:`run_case` and the stacked passes of the grid engine
+    (:class:`repro.engine.grid.BatchedGridEngine`), so stacked and
+    per-case scenarios derive records from raw mode measurements
+    identically — the field-for-field equivalence the engine guarantees.
     """
     geometry = case.geometry()
     algorithm = get_algorithm(case.algorithm)
@@ -430,6 +463,8 @@ class CoverageCase:
         if not (self.include_single or self.include_coupling):
             raise SweepError("a coverage case needs at least one fault battery")
         _validate_case(self, FAULT_BACKENDS, self.orders)
+        if self.sample < 0:
+            raise SweepError(f"sample must be >= 0, got {self.sample}")
 
     def geometry(self) -> ArrayGeometry:
         """The (bit-oriented) array geometry this campaign runs on."""
@@ -491,10 +526,12 @@ class CoverageRecord(_Record):
                 f"DOF-1 {status} ({self.elapsed_s:.2f} s, {self.backend_used})")
 
 
-def run_coverage_case(case: CoverageCase) -> CoverageRecord:
+def run_coverage_case(case: CoverageCase,
+                      state: Optional["_WorkerState"] = None
+                      ) -> CoverageRecord:
     """Execute one coverage campaign: all orders, per-fault invariance.
 
-    The multiprocessing work unit for coverage scenarios.  The fault list
+    The per-case work unit for coverage scenarios.  The fault list
     is simulated once per order through the backend-pluggable
     :class:`repro.faults.FaultSimulator`; coverage is reported under the
     first order and the invariance verdict compares every order pair-wise
@@ -508,7 +545,7 @@ def run_coverage_case(case: CoverageCase) -> CoverageRecord:
     injections = build_fault_list(geometry, locations=locations,
                                   include_single=case.include_single,
                                   include_coupling=case.include_coupling)
-    simulator = facade_for(case)
+    simulator = facade_for(case, state)
 
     started = time.perf_counter()
     campaign = run_campaign(algorithm, orders, geometry, injections,
@@ -625,7 +662,7 @@ class PrrCase:
     bank_interleave: str = "blocked"
     #: Kernel tier request for the vectorized campaign (``None`` follows
     #: the process-wide default, keeping ``default_kernel(...)`` pinning
-    #: effective under every strategy).
+    #: effective in-process).
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -712,16 +749,17 @@ class PrrRecord(_Record):
                 f"{self.elapsed_s:.2f} s, {self.backend_used})")
 
 
-def run_prr_case(case: PrrCase) -> PrrRecord:
+def run_prr_case(case: PrrCase,
+                 state: Optional["_WorkerState"] = None) -> PrrRecord:
     """Execute one BIST power campaign: both modes, measured + analytical.
 
-    The multiprocessing work unit for PRR scenarios.  Both modes run
+    The per-case work unit for PRR scenarios.  Both modes run
     through one :class:`repro.bist.BistController` (so the vectorized
     campaign's compiled trace is shared between them) and the record keeps
     the raw energy totals alongside the measured and predicted PRR.
     """
     algorithm = get_algorithm(case.algorithm)
-    controller = facade_for(case)
+    controller = facade_for(case, state)
 
     started = time.perf_counter()
     functional = controller.run(algorithm, low_power=False)
@@ -734,8 +772,8 @@ def prr_record(case: PrrCase, functional, low_power,
                elapsed: float) -> PrrRecord:
     """Assemble the :class:`PrrRecord` of one measured BIST campaign.
 
-    Shared by :func:`run_prr_case` and the batched grid engine, so both
-    execution strategies derive records from the two
+    Shared by :func:`run_prr_case` and the grid engine's stacked passes,
+    so both derive records from the two
     :class:`~repro.bist.controller.BistResult` measurements identically.
     """
     geometry = case.geometry()
@@ -843,8 +881,9 @@ class CaseKind:
     tag: str
     case_cls: type
     record_cls: type
-    #: the per-case work unit: ``execute(case) -> record``.
-    execute: Callable[[Any], Any]
+    #: the per-case work unit: ``execute(case, state) -> record``
+    #: (``state``: an optional :class:`_WorkerState`).
+    execute: Callable[[Any, Optional["_WorkerState"]], Any]
     #: ``build_facade(case, state)``: the measurement facade, sharing
     #: ``state``'s compiled traces when given.
     build_facade: Callable[[Any, Optional["_WorkerState"]], Any]
@@ -978,16 +1017,26 @@ def case_from_dict(data: Dict[str, object]) -> AnyCase:
         raise SweepError(f"invalid {kind!r} case: {exc}") from exc
 
 
-def execute_case(case: AnyCase) -> AnyRecord:
-    """Run one scenario of any kind (the multiprocessing work unit)."""
-    return kind_of(case).execute(case)
+def execute_case(case: AnyCase,
+                 state: Optional["_WorkerState"] = None) -> AnyRecord:
+    """Run one scenario of any kind through its per-case work unit,
+    memoising facades and traces in ``state`` when one is given."""
+    return kind_of(case).execute(case, state)
+
+
+#: The pool worker's :class:`_WorkerState`, built on its first case.
+#: Only :func:`_execute_indexed` reads it; each pool process sees its own.
+_POOL_STATE = threading.local()
 
 
 def _execute_indexed(item: Tuple[int, AnyCase]) -> Tuple[int, AnyRecord]:
     """Pool work unit for the streaming runner: keep the case's index with
     its record so ``imap_unordered`` completions can be re-ordered."""
     index, case = item
-    return index, execute_case(case)
+    state = getattr(_POOL_STATE, "state", None)
+    if state is None:
+        state = _POOL_STATE.state = _WorkerState()
+    return index, execute_case(case, state)
 
 
 # ----------------------------------------------------------------------
@@ -1024,40 +1073,9 @@ class _WorkerState:
         return facade
 
 
-#: The worker state of the executing thread (``None`` until a sweep —
-#: or the serving layer's worker pool — installs one).  Thread-local
-#: rather than a plain module global: concurrent batched passes (the
-#: campaign service runs one per executor thread) must not stomp each
-#: other's memoised facades mid-run.  Pool worker *processes* each see
-#: their own main thread, so the multiprocessing path is unchanged.
-_WORKER_STATE_SLOT = threading.local()
-
-
-def _get_worker_state() -> Optional[_WorkerState]:
-    """The calling thread's installed worker state, or ``None``."""
-    return getattr(_WORKER_STATE_SLOT, "state", None)
-
-
-def _init_worker() -> None:
-    """``multiprocessing.Pool`` initializer: a fresh worker state."""
-    _set_worker_state(_WorkerState())
-
-
-def _set_worker_state(state: Optional[_WorkerState]) -> None:
-    """Install (or clear) the calling thread's worker state.
-
-    Sequential runs scope their state to the run — installed before the
-    first case, restored afterwards — so a long-lived process executing
-    many sweeps does not accumulate facades and compiled traces forever;
-    pool workers die with their pool, which bounds theirs naturally.
-    """
-    _WORKER_STATE_SLOT.state = state
-
-
-def facade_for(case: AnyCase):
-    """The measurement facade of ``case``: memoised by the calling
-    thread's worker state when one is installed, else freshly built."""
-    state = _get_worker_state()
+def facade_for(case: AnyCase, state: Optional[_WorkerState] = None):
+    """The measurement facade of ``case``: memoised by ``state`` when one
+    is given, else freshly built."""
     if state is not None:
         return state.facade_for(case)
     return kind_of(case).build_facade(case, None)
@@ -1247,19 +1265,22 @@ def shard_cases(cases: Sequence[AnyCase], index: int,
     return list(cases)[index - 1::total]
 
 
-#: Valid values of the :class:`SweepRunner` ``strategy`` switch.
-STRATEGIES = ("auto", "batched", "percase")
+def _numpy_importable() -> bool:
+    """True when numpy can be imported (the stacked kernels need it)."""
+    return importlib.util.find_spec("numpy") is not None
 
 
-def _batchable(case: AnyCase) -> bool:
-    """True when the batched grid engine can stack this scenario.
+def _batchable(case: AnyCase, numpy_ok: bool) -> bool:
+    """True when the grid engine can stack this scenario.
 
     Kinds with ``stack_axes`` (power and PRR scenarios) stack on a
-    vectorizable backend; the reference backend (no bulk kernel) and
-    coverage campaigns (a different engine family) execute per case
-    either way.
+    vectorizable backend when numpy is importable (``numpy_ok``, probed
+    once per decision by :func:`_numpy_importable`); the reference
+    backend (no bulk kernel), coverage campaigns (a different engine
+    family) and every scenario of a numpy-less install run through the
+    per-case work unit instead.
     """
-    return kind_of(case).stack_axes is not None and \
+    return numpy_ok and kind_of(case).stack_axes is not None and \
         case.backend != "reference"
 
 
@@ -1267,35 +1288,27 @@ class SweepRunner:
     """Executes a list of sweep scenarios, streaming and optionally parallel.
 
     Accepts any mix of :class:`SweepCase`, :class:`CoverageCase` and
-    :class:`PrrCase` scenarios (dispatched through :func:`execute_case`).
+    :class:`PrrCase` scenarios.
 
-    ``strategy`` selects how the grid is evaluated:
+    In-process, the grid runs through
+    :class:`repro.engine.grid.BatchedGridEngine`: per-geometry groups
+    share one compiled-trace cache and one stacked flat-kernel pass for
+    all algorithms, orders and both planners, and every scenario the
+    stacked pass cannot represent runs through its per-case work unit
+    (:func:`execute_case`) under the same worker state.  Records are
+    identical either way (``elapsed_s`` aside).
 
-    * ``"percase"`` — one scenario at a time (the multiprocessing work
-      unit), optionally fanned out over worker processes;
-    * ``"batched"`` — the grid-batched engine
-      (:class:`repro.engine.grid.BatchedGridEngine`): per-geometry groups
-      share one compiled-trace cache and one stacked flat-kernel pass for
-      all algorithms, orders and both planners, in-process.  Records are
-      bit-identical to the per-case path (``elapsed_s`` aside); journal,
-      resume and shard semantics are unchanged.  Requires numpy — without
-      it the runner falls back to ``"percase"`` (the CLI warns, and the
-      journal header records what actually ran);
-    * ``"auto"`` (default) — ``"batched"`` when numpy is available and no
-      multi-process fan-out was requested (``processes`` of ``None`` with
-      an all-stackable grid, or an explicit ``1``), else ``"percase"``.
+    ``processes`` selects a worker pool instead: ``1`` runs in-process;
+    anything larger maps the cases over a ``multiprocessing.Pool`` of
+    that size (clamped to the number of cases); ``None`` (the default)
+    runs in-process when every scenario stacks, else uses one worker per
+    CPU core.  Workers rebuild every object from the case's names (only
+    plain data crosses process boundaries) and compile each algorithm x
+    order trace into a process-local cache the first time a case needs
+    it, instead of once per case.
 
-    ``processes`` selects the per-case fan-out: ``None`` (the default)
-    uses one worker per CPU core, clamped to the number of cases; ``1``
-    runs in-process; anything larger maps the cases over a
-    ``multiprocessing.Pool`` of that size.  Workers rebuild every object
-    from the case's names (only plain data crosses process boundaries) and
-    compile each algorithm x order trace into a process-local cache the
-    first time a case needs it, instead of once per case.  The batched
-    strategy is in-process and ignores ``processes``.
-
-    Execution streams in both strategies: completions are consumed as
-    they happen, so progress lines appear live and each finished case is
+    Execution streams either way: completions are consumed as they
+    happen, so progress lines appear live and each finished case is
     journaled immediately; the returned :class:`SweepResult` restores the
     stable input order.  ``journal`` names an append-only JSONL file
     (:class:`repro.sweep.journal.RunJournal`) that makes the campaign
@@ -1307,71 +1320,40 @@ class SweepRunner:
     def __init__(self, cases: Sequence[AnyCase],
                  processes: Optional[int] = None,
                  journal: Union[str, Path, None] = None,
-                 strategy: str = "auto",
                  header_meta: Optional[Dict[str, object]] = None) -> None:
         if not cases:
             raise SweepError("a sweep needs at least one case")
         if processes is not None and processes < 1:
             raise SweepError(f"processes must be >= 1, got {processes}")
-        if strategy not in STRATEGIES:
-            raise SweepError(
-                f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
         self.cases = list(cases)
         for case in self.cases:
             kind_of(case)  # fail fast, before any worker receives it
         self.processes = processes
         self.journal = Path(journal) if journal is not None else None
-        self.strategy = strategy
         #: extra metadata merged into a fresh journal's header line —
         #: an orchestrator (e.g. :mod:`repro.distrib`) stamps the lease
         #: identity and global case indices here, so a shard journal is
         #: self-describing when merged later.  Runner-owned keys win.
         self.header_meta = dict(header_meta) if header_meta else None
-        #: strategy that actually executed the most recent :meth:`run`
-        #: (``None`` before the first run).
-        self.strategy_used: Optional[str] = None
 
     # ------------------------------------------------------------------
-    def resolve_strategy(self, cases: Optional[Sequence[AnyCase]] = None
-                         ) -> str:
-        """The execution strategy a run over ``cases`` will actually use.
+    def resolved_processes(self, pending: Optional[Sequence[AnyCase]] = None
+                           ) -> int:
+        """The worker count a run over ``pending`` (default: the full
+        grid) will use; ``1`` means the in-process grid engine.
 
-        An explicit ``"batched"`` request degrades to ``"percase"`` only
-        when numpy is unavailable (the clean fallback the CLI warns
-        about); ``"auto"`` additionally respects a requested
-        multi-process fan-out and keeps grids with per-case-only
-        scenarios on the parallel path.
+        ``processes=None`` resolves to ``1`` when every pending scenario
+        stacks, else to ``os.cpu_count()``; either way the count is
+        clamped to the number of pending cases — a pool larger than its
+        work list is pure startup cost.
         """
-        if self.strategy == "percase":
-            return "percase"
-        from importlib.util import find_spec
-
-        numpy_available = find_spec("numpy") is not None
-        if self.strategy == "batched":
-            return "batched" if numpy_available else "percase"
-        if not numpy_available:
-            return "percase"
-        if self.processes == 1:
-            return "batched"
-        if self.processes is None:
-            pending = self.cases if cases is None else cases
-            if all(_batchable(case) for case in pending):
-                return "batched"
-        return "percase"
-
-    # ------------------------------------------------------------------
-    def resolved_processes(self, pending: Optional[int] = None) -> int:
-        """The worker count a run will actually use.
-
-        ``processes=None`` resolves to ``os.cpu_count()``; either way the
-        count is clamped to the number of cases still to execute
-        (``pending``, defaulting to the full grid) — a pool larger than
-        its work list is pure startup cost.
-        """
-        count = len(self.cases) if pending is None else pending
+        cases = self.cases if pending is None else pending
+        if self.processes is None and _numpy_importable() and \
+                all(_batchable(case, True) for case in cases):
+            return 1
         workers = self.processes if self.processes is not None \
             else (os.cpu_count() or 1)
-        return max(1, min(workers, count))
+        return max(1, min(workers, len(cases)))
 
     # ------------------------------------------------------------------
     def _restore_from_journal(self) -> Dict[int, AnyRecord]:
@@ -1404,41 +1386,26 @@ class SweepRunner:
             restored[index] = kind.record_cls.from_dict(entry.record)
         return restored
 
-    def _completions(self, pending: Sequence[Tuple[int, AnyCase]],
-                     strategy: str = "percase"
+    def _completions(self, pending: Sequence[Tuple[int, AnyCase]]
                      ) -> Iterator[Tuple[int, AnyRecord]]:
         """Yield ``(index, record)`` as cases complete.
 
-        The batched strategy streams the grid engine's stacked-group
-        completions.  Per-case sequential mode executes in input order
-        in-process under a run-scoped worker state; parallel mode streams
-        ``imap_unordered`` completions out of a pool, so the slowest case
-        never gates reporting of the others.
+        In-process, this streams the grid engine's completions (input
+        order, stacked groups evaluated as their first member is
+        reached); a pool streams ``imap_unordered`` completions, so the
+        slowest case never gates reporting of the others.
         """
         if not pending:
             return
-        if strategy == "batched":
-            # Deferred import: the grid engine needs numpy, the runner
-            # must not (resolve_strategy already verified availability).
-            from ..engine.grid import BatchedGridEngine
-
-            engine = BatchedGridEngine([case for _, case in pending])
+        cases = [case for _, case in pending]
+        workers = self.resolved_processes(cases)
+        if workers <= 1:
+            engine = BatchedGridEngine(cases)
             indices = [index for index, _ in pending]
             for position, record in engine.completions():
                 yield indices[position], record
             return
-        workers = self.resolved_processes(len(pending))
-        if workers <= 1:
-            previous = _get_worker_state()
-            _set_worker_state(_WorkerState())
-            try:
-                for index, case in pending:
-                    yield index, execute_case(case)
-            finally:
-                _set_worker_state(previous)
-            return
-        with multiprocessing.get_context().Pool(
-                processes=workers, initializer=_init_worker) as pool:
+        with multiprocessing.get_context().Pool(processes=workers) as pool:
             for index, record in pool.imap_unordered(_execute_indexed,
                                                      list(pending)):
                 yield index, record
@@ -1450,7 +1417,7 @@ class SweepRunner:
         """Execute every case and return the collected :class:`SweepResult`.
 
         With ``progress`` true, a one-line status is emitted per completed
-        case *as it completes* — live in both sequential and parallel mode
+        case *as it completes* — live in-process and from a pool alike
         — to ``progress_sink`` (default: ``print``).  With ``resume`` true
         (requires a ``journal``), cases already recorded in the journal are
         restored verbatim instead of re-executed.  Records are returned in
@@ -1496,26 +1463,20 @@ class SweepRunner:
             atomic_write_bytes(self.journal, b"")
         pending = [(index, case) for index, case in enumerate(self.cases)
                    if records[index] is None]
-        strategy_used = self.resolve_strategy([case for _, case in pending])
-        self.strategy_used = strategy_used
         journal = RunJournal(self.journal) if self.journal is not None else None
         if journal is not None:
             journal.open()  # an unwritable path must fail before any work
             if not self.journal.exists() or self.journal.stat().st_size == 0:
-                # A fresh journal opens with a run-metadata header: which
-                # strategy actually executes (e.g. a batched request that
-                # fell back to per-case without numpy) is recorded next to
-                # the measurements it produced.
+                # A fresh journal opens with a run-metadata header (the
+                # grid size, plus any orchestrator-supplied identity).
                 meta: Dict[str, object] = dict(self.header_meta or {})
                 meta.update({
-                    "strategy_requested": self.strategy,
-                    "strategy_used": strategy_used,
                     "cases": len(self.cases),
                     "pending": len(pending),
                 })
                 journal.write_header(meta)
         try:
-            for index, record in self._completions(pending, strategy_used):
+            for index, record in self._completions(pending):
                 records[index] = record
                 if journal is not None:
                     journal.append(JournalEntry(

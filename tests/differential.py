@@ -29,9 +29,9 @@ re-deriving its own:
   against the flat numpy kernel, plus the compiled ``jit`` tier wherever
   numba is importable;
 * :func:`drop_elapsed` / :func:`assert_identical_records` /
-  :func:`run_both_strategies` — sweep records across execution strategies
-  (field-for-field identical; ``elapsed_s`` is the one wall-clock exempt
-  field).
+  :func:`run_both_paths` — sweep records of the per-case work unit
+  against the in-process grid engine (field-for-field identical;
+  ``elapsed_s`` is the one wall-clock exempt field).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from repro import TestSession
 from repro.bist import BistController
 from repro.faults import FaultSimulator
 from repro.march.element import AddressingDirection
-from repro.sweep.runner import SweepRunner
+from repro.sweep.runner import SweepRunner, _WorkerState, execute_case
 
 #: Relative tolerance for energy/power comparisons across backends: the
 #: two implementations sum identical per-event energies in different
@@ -212,7 +212,7 @@ def assert_aggregates_match(expected, observed, label=""):
 
 
 # ----------------------------------------------------------------------
-# Sweep records across execution strategies
+# Sweep records: per-case work unit vs grid engine
 # ----------------------------------------------------------------------
 def drop_elapsed(record) -> dict:
     """A record's dictionary minus its wall-clock observation."""
@@ -229,8 +229,11 @@ def assert_identical_records(percase_result, batched_result):
         assert drop_elapsed(observed) == drop_elapsed(expected)
 
 
-def run_both_strategies(cases):
-    """Evaluate one grid with the per-case and the batched strategy."""
-    percase = SweepRunner(cases, processes=1, strategy="percase").run()
-    batched = SweepRunner(cases, strategy="batched").run()
+def run_both_paths(cases):
+    """Evaluate one grid case by case through the per-case work unit
+    under one worker state (the reference), and through the runner's
+    in-process grid engine."""
+    state = _WorkerState()
+    percase = [execute_case(case, state) for case in cases]
+    batched = SweepRunner(cases, processes=1).run()
     return percase, batched

@@ -17,7 +17,7 @@ scenario matrix:
   the reference and vectorized fault backends, across algorithms, orders
   and directions;
 * **sweep records** — banked grids evaluate field-for-field identically
-  under the per-case and the batched strategy.
+  through the per-case work unit and the in-process grid engine.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from differential import (
     kernel_engines,
     measured_prr,
     run_both_backends,
-    run_both_strategies,
+    run_both_paths,
 )
 
 #: banks=1 has no interleave choice; every banked count is exercised under
@@ -301,7 +301,7 @@ def test_neighbourhood_cells_survive_on_a_banked_geometry():
 
 
 # ----------------------------------------------------------------------
-# Sweep records: banked grids across execution strategies
+# Sweep records: banked grids, per-case work unit vs grid engine
 # ----------------------------------------------------------------------
 def test_banked_records_identical_across_strategies():
     from repro.sweep.runner import prr_grid, sweep_grid
@@ -310,6 +310,6 @@ def test_banked_records_identical_across_strategies():
                        backends=("vectorized",), banks=(1, 2, 4)) + \
         prr_grid(["8x16"], ["MATS+"], backend="vectorized", banks=(1, 4),
                  bank_interleave="interleaved")
-    percase, batched = run_both_strategies(cases)
+    percase, batched = run_both_paths(cases)
     assert_identical_records(percase, batched)
     assert {record.banks for record in batched} == {1, 2, 4}

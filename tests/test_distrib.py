@@ -302,6 +302,20 @@ class TestWorkers:
         assert len(counts) == len(cases)
         assert set(counts.values()) == {1}
 
+    def test_worker_cli_accepts_only_strategy_auto(self, tmp_path, capsys):
+        from repro.distrib.__main__ import main as distrib_main
+
+        root = tmp_path / "camp"
+        Coordinator.create(root, _tiny_cases(1), workers=1)
+        # --strategy survives for command-line compatibility only.
+        assert distrib_main(["worker", str(root), "--strategy", "auto",
+                             "--processes", "1", "--worker-id", "w0"]) == 0
+        assert Coordinator(root).status()["complete"] is True
+        with pytest.raises(SystemExit) as excinfo:
+            distrib_main(["worker", str(root), "--strategy", "percase"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+
     def test_two_workers_share_one_campaign_exactly_once(self, tmp_path):
         cases = _tiny_cases(6)
         coordinator = Coordinator.create(tmp_path / "camp", cases,
@@ -378,12 +392,11 @@ class TestKillAndSteal:
         [lease_id] = ledger.lease_ids()
         journal_path = ledger.journal_path(lease_id)
 
-        # --strategy percase journals every case as it completes, so
-        # entries appear while the lease is still claimed; the batched
-        # strategy would journal the whole lease in one burst and leave
-        # no window in which to die mid-lease.
+        # Every case has its own geometry, so the grid engine evaluates
+        # and journals the lease case by case: entries appear while the
+        # lease is still claimed, the window in which to die mid-lease.
         victim = spawn_worker(ledger.root, worker_id="victim",
-                              strategy="percase", lease_timeout=None)
+                              lease_timeout=None)
         try:
             deadline = time.time() + 120
             while time.time() < deadline:
@@ -488,13 +501,13 @@ class TestRunnerHooks:
     def test_case_sink_exception_aborts_but_keeps_durable_work(self,
                                                                tmp_path):
         journal = tmp_path / "run.jsonl"
-        cases = _tiny_cases(4)
+        cases = _tiny_cases(4)  # distinct geometries: one group per case
 
         def abort_after_first(index, record):
             raise LeaseRevoked("stolen")
 
         with pytest.raises(LeaseRevoked):
-            SweepRunner(cases, journal=journal, strategy="percase",
+            SweepRunner(cases, journal=journal,
                         processes=1).run(case_sink=abort_after_first)
         entries = load_journal(journal)
         assert len(entries) == 1  # the aborting case was already durable

@@ -1,20 +1,25 @@
-"""The batched grid strategy: record equivalence, resolution, fallbacks.
+"""The in-process grid engine: record equivalence, the processes
+decision, fallbacks.
 
-``strategy="batched"`` evaluates a sweep grid through per-geometry stacked
-flat-kernel passes (:class:`repro.engine.grid.BatchedGridEngine`) instead
-of per-case work units.  Its contract is strict: **every** record — power,
-PRR and coverage alike — must be field-for-field identical to what
-``strategy="percase"`` measures for the same grid (``elapsed_s``, a
-wall-clock observation, is the one exempt field).  These tests pin that
-contract across the full standard library, both planners (both operating
-modes of every scenario), several array sizes and all three record kinds,
-plus the strategy-resolution rules, the journal's run-metadata header and
-the per-case fallback for scenarios the stacked pass cannot represent.
+In-process, :class:`~repro.sweep.runner.SweepRunner` evaluates a sweep
+grid through per-geometry stacked flat-kernel passes
+(:class:`repro.engine.grid.BatchedGridEngine`) and routes everything
+else through the per-case work unit.  Its contract is strict: **every**
+record — power, PRR and coverage alike — must be field-for-field
+identical to what the per-case work unit measures for the same grid
+(``elapsed_s``, a wall-clock observation, is the one exempt field).
+These tests pin that contract across the full standard library, both
+planners (both operating modes of every scenario), several array sizes
+and all three record kinds, plus the in-process-or-pool decision, the
+journal's run-metadata header and the per-case route for scenarios the
+stacked pass cannot represent.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import os
 
 import pytest
 
@@ -24,16 +29,17 @@ from repro.sweep.runner import (
     CoverageCase,
     PrrCase,
     SweepCase,
-    SweepError,
     SweepRunner,
+    _WorkerState,
     coverage_grid,
+    execute_case,
     prr_grid,
     sweep_grid,
 )
 
 from differential import (
     assert_identical_records,
-    run_both_strategies as run_both,
+    run_both_paths as run_both,
 )
 
 ALGORITHMS = [algorithm.name for algorithm in PAPER_TABLE1_ALGORITHMS]
@@ -58,7 +64,7 @@ def test_prr_records_identical_across_strategies():
 
 
 def test_coverage_records_identical_across_strategies():
-    """Coverage campaigns ride the batched strategy per-case, records
+    """Coverage campaigns ride the grid engine per-case, records
     unchanged."""
     cases = coverage_grid(["8x8", "16x16"], ["MATS+", "March C-"], sample=2)
     assert_identical_records(*run_both(cases))
@@ -84,7 +90,7 @@ def test_mixed_grid_identical_and_in_input_order():
 def test_unsupported_low_power_falls_back_per_case():
     """The snake order's low-power run is not bulk-replayable: under
     backend='auto' the per-case path measures it reference+vectorized, and
-    the batched strategy must reroute and report exactly the same."""
+    the grid engine must reroute and report exactly the same."""
     cases = sweep_grid(["8x16"], ["March C-", "MATS+"], orders=("snake",),
                        backends=("auto",))
     percase, batched = run_both(cases)
@@ -94,68 +100,71 @@ def test_unsupported_low_power_falls_back_per_case():
 
 
 # ----------------------------------------------------------------------
-# Strategy resolution
+# In-process or pool: the one execution decision
 # ----------------------------------------------------------------------
 def _vectorized_cases(count: int = 2):
     return sweep_grid(["8x8"], ALGORITHMS[:count], backends=("vectorized",))
 
 
-def test_strategy_validation():
-    with pytest.raises(SweepError, match="unknown strategy"):
-        SweepRunner(_vectorized_cases(), strategy="turbo")
-
-
-def test_auto_resolution_rules():
-    cases = _vectorized_cases()
-    assert SweepRunner(cases).resolve_strategy() == "batched"
-    assert SweepRunner(cases, processes=1).resolve_strategy() == "batched"
-    assert SweepRunner(cases, processes=4).resolve_strategy() == "percase"
-    assert SweepRunner(cases, strategy="percase").resolve_strategy() == \
-        "percase"
-    # A grid with per-case-only scenarios keeps the parallel default...
-    mixed = cases + coverage_grid(["8x8"], ["MATS+"], sample=2)
-    assert SweepRunner(mixed).resolve_strategy() == "percase"
-    # ...unless the caller pinned sequential execution.
-    assert SweepRunner(mixed, processes=1).resolve_strategy() == "batched"
-    # Reference-backend power cases are not stackable either.
-    reference = sweep_grid(["8x8"], ["MATS+"], backends=("reference",))
-    assert SweepRunner(reference).resolve_strategy() == "percase"
-
-
-def test_batched_without_numpy_falls_back(monkeypatch):
-    import importlib.util
-
+def _hide_numpy(monkeypatch):
+    """Make ``find_spec("numpy")`` report numpy as not importable."""
     real_find_spec = importlib.util.find_spec
     monkeypatch.setattr(importlib.util, "find_spec",
                         lambda name, *args: None if name == "numpy"
                         else real_find_spec(name, *args))
-    runner = SweepRunner(_vectorized_cases(), strategy="batched")
-    assert runner.resolve_strategy() == "percase"
-    assert SweepRunner(_vectorized_cases()).resolve_strategy() == "percase"
 
 
-def test_run_records_strategy_used(tmp_path):
-    runner = SweepRunner(_vectorized_cases(), strategy="batched")
-    assert runner.strategy_used is None
-    runner.run()
-    assert runner.strategy_used == "batched"
+_MIXED = _vectorized_cases() + coverage_grid(["8x8"], ["MATS+"], sample=2)
+_REFERENCE = sweep_grid(["8x8"], ALGORITHMS[:2], backends=("reference",))
+
+
+@pytest.mark.parametrize("cases, processes, numpy_present, expected", [
+    (_vectorized_cases(), None, True, 1),   # all stack: in-process
+    (_vectorized_cases(), 1, True, 1),
+    (_vectorized_cases(), 4, True, 2),      # explicit pool, clamped
+    (_MIXED, None, True, 3),                # per-case-only scenarios: pool
+    (_MIXED, 1, True, 1),                   # ...unless pinned in-process
+    (_REFERENCE, None, True, 2),            # reference never stacks
+    (_vectorized_cases(), None, False, 2),  # nothing stacks without numpy
+    (_vectorized_cases(), 1, False, 1),
+], ids=["stackable", "stackable-1", "stackable-4", "mixed", "mixed-1",
+        "reference", "no-numpy", "no-numpy-1"])
+def test_processes_decision(monkeypatch, cases, processes, numpy_present,
+                            expected):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    if not numpy_present:
+        _hide_numpy(monkeypatch)
+    assert SweepRunner(cases, processes=processes).resolved_processes() \
+        == expected
+
+
+def test_engine_without_numpy_runs_every_case_per_case(monkeypatch):
+    """Without numpy nothing stacks: the engine plans no group and every
+    record comes from the per-case work unit, unchanged."""
+    from repro.engine.grid import BatchedGridEngine
+
+    _hide_numpy(monkeypatch)
+    engine = BatchedGridEngine(_MIXED)
+    groups, percase = engine._plan()
+    assert groups == {} and len(percase) == len(_MIXED)
+    state = _WorkerState()
+    expected = [execute_case(case, state) for case in _MIXED]
+    observed = [record for _, record in engine.completions()]
+    assert_identical_records(expected, observed)
 
 
 # ----------------------------------------------------------------------
 # Journal header
 # ----------------------------------------------------------------------
-def test_fresh_journal_records_strategy_header(tmp_path):
+def test_fresh_journal_records_run_header(tmp_path):
     path = tmp_path / "run.jsonl"
     cases = _vectorized_cases()
-    SweepRunner(cases, strategy="batched", journal=path).run()
+    SweepRunner(cases, journal=path).run()
     header = RunJournal(path).read_header()
-    assert header == {"strategy_requested": "batched",
-                      "strategy_used": "batched",
-                      "cases": len(cases), "pending": len(cases)}
+    assert header == {"cases": len(cases), "pending": len(cases)}
     # The header is metadata: entry loading and resume ignore it.
     assert len(load_journal(path)) == len(cases)
-    resumed = SweepRunner(cases, strategy="batched",
-                          journal=path).run(resume=True)
+    resumed = SweepRunner(cases, journal=path).run(resume=True)
     assert len(resumed) == len(cases)
 
 
@@ -165,8 +174,7 @@ def test_resume_keeps_the_original_header(tmp_path):
     SweepRunner(cases, journal=path).run()
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:2]) + "\n")  # header + first case
-    SweepRunner(cases, strategy="percase", processes=1,
-                journal=path).run(resume=True)
+    SweepRunner(cases, processes=1, journal=path).run(resume=True)
     header = RunJournal(path).read_header()
     assert header is not None and header["cases"] == len(cases)
     assert len(load_journal(path)) == len(cases)

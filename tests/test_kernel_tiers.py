@@ -38,6 +38,7 @@ from repro.sweep.runner import (
     SweepError,
     SweepRecord,
     SweepRunner,
+    execute_case,
     prr_grid,
     sweep_grid,
 )
@@ -176,29 +177,26 @@ def test_dispatcher_warm_reports_success(clean_kernels):
 
 
 # ----------------------------------------------------------------------
-# Sweep records: requested vs. executed tier, strategy parity
+# Sweep records: requested vs. executed tier, per-case vs grid engine
 # ----------------------------------------------------------------------
 def test_sweep_records_carry_requested_and_executed_tier(clean_kernels):
     _absent(clean_kernels, "jit")
     cases = sweep_grid(["8x16"], ["MATS+"], kernel="jit")
     with pytest.warns(RuntimeWarning):
-        batched = SweepRunner(cases, strategy="batched").run(progress=False)
+        batched = SweepRunner(cases, processes=1).run(progress=False)
     record = batched.records[0]
     assert record.kernel == "jit"        # what the case asked for
     assert record.kernel_used == "flat"  # what actually executed
     reset_kernel_state()
     with pytest.warns(RuntimeWarning):
-        percase = SweepRunner(cases, processes=1,
-                              strategy="percase").run(progress=False)
+        percase = [execute_case(case) for case in cases]
     assert_identical_records(percase, batched)
 
 
 def test_prr_records_carry_kernel_fields(clean_kernels):
     cases = prr_grid(["8x16"], ["MATS+"], backend="vectorized",
                      kernel="flat")
-    result = SweepRunner(cases, processes=1,
-                         strategy="percase").run(progress=False)
-    record = result.records[0]
+    record = execute_case(cases[0])
     assert record.kernel == "flat"
     assert record.kernel_used == "flat"
 

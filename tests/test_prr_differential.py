@@ -271,6 +271,6 @@ class TestPrrCaseRecords:
         with pytest.raises(SweepError):
             PrrCase(rows=8, columns=32, algorithm="March C-",
                     backend="warp-drive")
-        with pytest.raises(KeyError):
+        with pytest.raises(SweepError, match="unknown March algorithm"):
             PrrCase(rows=8, columns=32, algorithm="March Nope")
         assert "auto" in POWER_BACKENDS

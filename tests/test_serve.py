@@ -56,6 +56,27 @@ def _prr_case(**overrides):
     return payload
 
 
+def _coverage_case(**overrides):
+    payload = {"kind": "coverage", "rows": 8, "columns": 8,
+               "algorithm": "MATS+", "sample": 2}
+    payload.update(overrides)
+    return payload
+
+
+#: Invalid field values: each must be a SweepError at construction (a
+#: 400 from the service), never an exception from deeper layers.
+_INVALID_FIELDS = [
+    (_power_case(algorithm=["x"]), "'algorithm' must be str"),
+    (_power_case(algorithm="March Z"), "unknown March algorithm"),
+    (_power_case(rows=-8), "rows must be positive"),
+    (_power_case(banks=0), "banks must be positive"),
+    (_prr_case(bank_interleave="zig"), "bank_interleave must be one of"),
+    (_power_case(any_direction="sideways"), "unknown any_direction"),
+    (_coverage_case(any_direction="sideways"), "unknown any_direction"),
+    (_coverage_case(sample=-3), "sample must be >= 0"),
+]
+
+
 def _drop_elapsed(record):
     return {key: value for key, value in record.items() if key != "elapsed_s"}
 
@@ -95,6 +116,9 @@ def test_case_from_dict_rejects_bad_input():
         case_from_dict(_power_case(order="zigzag"))
     with pytest.raises(SweepError, match="unknown kernel 'gpu'"):
         case_from_dict(_prr_case(kernel="gpu"))
+    for payload, message in _INVALID_FIELDS:
+        with pytest.raises(SweepError, match=message):
+            case_from_dict(payload)
 
 
 def test_fingerprint_digest_is_canonical():
@@ -411,6 +435,10 @@ def test_protocol_error_mapping(tmp_path):
         status, payload = exchange("POST", "/v1/run", json.dumps(
             {"case": _power_case(kernel="gpu")}))
         assert status == 400 and "unknown kernel" in payload["error"]
+        for case, message in _INVALID_FIELDS:
+            status, payload = exchange("POST", "/v1/run",
+                                       json.dumps({"case": case}))
+            assert status == 400 and message in payload["error"], case
         status, _ = exchange("POST", "/v1/run", "not json")
         assert status == 400
         status, _ = exchange("POST", "/v1/run", json.dumps({"nope": 1}))
@@ -426,7 +454,7 @@ def test_protocol_error_mapping(tmp_path):
                 client.submit({"kind": "nope"})
         # Malformed cases count as request errors; routing rejections
         # (bad path/method/body framing) never reach the campaign layer.
-        assert service.stats_snapshot()["errors"] == 3
+        assert service.stats_snapshot()["errors"] == 3 + len(_INVALID_FIELDS)
 
 
 def test_invalid_content_length_is_answered_400(tmp_path):

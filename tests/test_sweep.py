@@ -65,7 +65,7 @@ def test_sweep_grid_cross_product():
 def test_case_validation_fails_fast():
     with pytest.raises(SweepError):
         SweepCase(rows=8, columns=8, algorithm="March C-", order="no-such-order")
-    with pytest.raises(KeyError):
+    with pytest.raises(SweepError, match="unknown March algorithm"):
         SweepCase(rows=8, columns=8, algorithm="No Such March")
 
 
@@ -233,7 +233,7 @@ def test_coverage_case_validation_fails_fast():
     with pytest.raises(SweepError):
         CoverageCase(rows=8, columns=8, algorithm="March C-",
                      include_single=False, include_coupling=False)
-    with pytest.raises(KeyError):
+    with pytest.raises(SweepError, match="unknown March algorithm"):
         CoverageCase(rows=8, columns=8, algorithm="No Such March")
 
 
@@ -351,7 +351,7 @@ def test_prr_grid_and_paper_preset():
 def test_prr_case_validation_fails_fast():
     with pytest.raises(SweepError):
         PrrCase(rows=8, columns=8, algorithm="March C-", backend="no-such")
-    with pytest.raises(KeyError):
+    with pytest.raises(SweepError, match="unknown March algorithm"):
         PrrCase(rows=8, columns=8, algorithm="No Such March")
 
 

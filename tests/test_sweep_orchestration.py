@@ -3,7 +3,8 @@
 Covers the PR's bugfixes and the orchestration subsystem around them:
 
 * ``SweepRunner(processes=None)`` defaults to one worker per CPU core
-  (clamped to the grid) instead of silently running sequentially forever;
+  (clamped to the grid) whenever some scenario does not stack, instead of
+  silently running sequentially forever;
 * parallel progress streams live (``imap_unordered``) instead of only
   appearing after the whole pool drains;
 * the append-only JSONL run journal, ``run(resume=True)`` semantics and
@@ -55,6 +56,12 @@ def _fast_cases(count: int = 3):
                       backends=("vectorized",))
 
 
+def _reference_cases(count: int):
+    """``count`` per-case-only scenarios (the reference backend never
+    stacks, so ``processes=None`` resolves to a pool)."""
+    return sweep_grid(["8x8"], ["MATS+"] * count, backends=("reference",))
+
+
 def _mixed_cases():
     """One case of each kind, all cheap."""
     return [
@@ -71,23 +78,24 @@ def _mixed_cases():
 # ----------------------------------------------------------------------
 def test_processes_none_defaults_to_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 7)
-    runner = SweepRunner(_fast_cases(2))
+    runner = SweepRunner(_reference_cases(2))
     assert runner.processes is None
-    assert runner.resolved_processes(16) == 7     # all cores...
-    assert runner.resolved_processes(3) == 3      # ...clamped to the work
+    assert runner.resolved_processes(_reference_cases(16)) == 7  # all cores...
+    assert runner.resolved_processes(_reference_cases(3)) == 3   # ...clamped
     assert runner.resolved_processes() == 2       # default: the full grid
 
 
 def test_explicit_processes_still_win_and_clamp(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 7)
     runner = SweepRunner(_fast_cases(2), processes=3)
-    assert runner.resolved_processes(16) == 3
+    assert runner.resolved_processes(_fast_cases(3) * 6) == 3
     assert runner.resolved_processes() == 2
 
 
 def test_cpu_count_none_degrades_to_sequential(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert SweepRunner(_fast_cases(2)).resolved_processes(16) == 1
+    assert SweepRunner(_reference_cases(2)).resolved_processes(
+        _reference_cases(16)) == 1
 
 
 # ----------------------------------------------------------------------
@@ -216,13 +224,6 @@ def test_fresh_run_refuses_an_existing_journal(tmp_path):
     assert len(SweepRunner(cases, journal=path).run(resume=True)) == 2
     path.write_text("")
     assert len(SweepRunner(cases, processes=1, journal=path).run()) == 2
-
-
-def test_sequential_worker_state_is_scoped_to_the_run(clear_worker_state):
-    SweepRunner(_fast_cases(2), processes=1).run()
-    # The run-scoped state must not leak into the thread's slot, so
-    # long-lived processes don't accumulate facades across sweeps.
-    assert runner_module._get_worker_state() is None
 
 
 def test_resume_without_journal_is_an_error():
@@ -504,45 +505,33 @@ def test_journal_round_trip_of_all_kinds(tmp_path):
 # ----------------------------------------------------------------------
 # Worker state: memoised facades, shared content-keyed trace cache
 # ----------------------------------------------------------------------
-@pytest.fixture
-def clear_worker_state():
-    """Run the test with an empty thread-local worker-state slot, and
-    drop whatever the test installed afterwards."""
-    runner_module._set_worker_state(None)
-    yield
-    runner_module._set_worker_state(None)
-
-
-def test_worker_state_reuses_controllers_and_sessions(clear_worker_state):
+def test_worker_state_reuses_controllers_and_sessions():
     prr = [PrrCase(rows=8, columns=64, algorithm="MATS+",
                    backend="vectorized", seed=seed) for seed in (1, 2)]
     power = _fast_cases(2)
-    runner_module._init_worker()
-    state = runner_module._get_worker_state()
+    state = runner_module._WorkerState()
     assert state.facade_for(prr[0]) is state.facade_for(prr[1])
     assert state.facade_for(power[0]) is state.facade_for(power[1])
 
 
-def test_worker_state_compiles_traces_lazily_and_once(clear_worker_state):
+def test_worker_state_compiles_traces_lazily_and_once():
     # Nothing compiles up front; a seed sweep replaying one algorithm x
     # order set compiles each trace on its first case only, although
     # every case builds its own order objects.
     cases = [CoverageCase(rows=8, columns=8, algorithm="MATS+",
                           include_coupling=False, sample=2, seed=seed)
              for seed in (1, 2)]
-    runner_module._init_worker()
-    state = runner_module._get_worker_state()
-    assert state is not None and len(state.traces) == 0
+    state = runner_module._WorkerState()
+    assert len(state.traces) == 0
     # Same configuration axes -> the same facade instance.
     assert state.facade_for(cases[0]) is state.facade_for(cases[1])
-    runner_module.execute_case(cases[0])
+    runner_module.execute_case(cases[0], state)
     assert len(state.traces) == len(cases[0].orders)
-    runner_module.execute_case(cases[1])
+    runner_module.execute_case(cases[1], state)
     assert len(state.traces) == len(cases[0].orders)
 
 
-def test_coverage_after_a_banked_power_case_stays_vectorized(
-        clear_worker_state):
+def test_coverage_after_a_banked_power_case_stays_vectorized():
     # A banked power case memoises its row-major order first; the unbanked
     # coverage case on the same 8x8 must get an order whose geometry
     # matches its own (the vectorized fault campaign rejects any other
@@ -554,11 +543,11 @@ def test_coverage_after_a_banked_power_case_stays_vectorized(
     assert result.records[1].backend_used == "vectorized"
 
 
-def test_worker_state_results_match_fresh_facades(clear_worker_state):
+def test_worker_state_results_match_fresh_facades():
     cases = _mixed_cases()
     fresh = [runner_module.execute_case(case) for case in cases]
-    runner_module._init_worker()
-    warmed = [runner_module.execute_case(case) for case in cases]
+    state = runner_module._WorkerState()
+    warmed = [runner_module.execute_case(case, state) for case in cases]
     drop = lambda d: {k: v for k, v in d.items() if k != "elapsed_s"}
     for lhs, rhs in zip(fresh, warmed):
         assert drop(lhs.as_dict()) == drop(rhs.as_dict())
