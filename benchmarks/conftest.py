@@ -43,21 +43,6 @@ import pytest
 BENCH_SERIES = os.environ.get("REPRO_BENCH_ID", "9")
 
 
-def _active_kernel() -> Optional[str]:
-    """The kernel tier a measurement ran on, when the engine layer is up.
-
-    Entries that don't name their tier explicitly get the process-wide
-    active tier, so ``check_regression.py`` can compare like-for-like
-    tiers across trajectories measured with different optional deps.
-    """
-    try:
-        from repro.engine import active_kernel
-
-        return active_kernel()
-    except Exception:  # noqa: BLE001 - engine (numpy) may be absent
-        return None
-
-
 def _git_metadata() -> Dict[str, object]:
     """Best-effort commit/branch description of the measured tree."""
     metadata: Dict[str, object] = {}
@@ -101,10 +86,10 @@ class BenchTrajectory:
         if speedup is not None:
             entry["speedup"] = round(float(speedup), 3)
         entry.update(extra)
+        # Entries that don't name their tier ran on the default one, so
+        # check_regression.py can compare like-for-like tiers.
         if entry.get("kernel") is None:
-            active = _active_kernel()
-            if active is not None:
-                entry["kernel"] = active
+            entry["kernel"] = "flat"
         # Last write wins per workload (a bench may refine its entry).
         self.entries = [existing for existing in self.entries
                         if existing["workload"] != workload]

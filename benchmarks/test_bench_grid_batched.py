@@ -13,8 +13,8 @@ This experiment measures the two layers this series replaced that with:
 
 The baseline is the original configuration reproduced exactly: one case at
 a time through the per-case work unit under one worker state, on the
-segmented kernel (``default_kernel("segmented")`` pins the process
-default, reaching the engines inside the facades).  The claim
+segmented kernel (the same cases with ``kernel="segmented"``, which the
+facades hand to the engines they build).  The claim
 asserted here is the series' acceptance bar: the batched paper-scale grid
 beats that baseline by >= 5x wall-clock with records that are
 field-for-field identical (``elapsed_s`` aside), and the measurement is
@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis import render_table
-from repro.engine.vectorized import default_kernel
 from repro.sweep import SweepRunner
 from repro.sweep.runner import (
     _WorkerState,
@@ -71,6 +71,11 @@ def _run_percase(cases):
     return [execute_case(case, state) for case in cases]
 
 
+def _segmented(cases):
+    """The same cases, requesting the segmented kernel."""
+    return [replace(case, kernel="segmented") for case in cases]
+
+
 def _drop_elapsed(record):
     row = record.as_dict()
     row.pop("elapsed_s")
@@ -78,11 +83,12 @@ def _drop_elapsed(record):
 
 
 def _drop_kernel_provenance(row):
-    """The cross-kernel baseline comparison: ``kernel_used`` records the
-    tier that actually executed, which differs *by design* between the
-    segmented-kernel baseline and today's kernel — every physical field
-    must still agree."""
+    """The cross-kernel baseline comparison: ``kernel`` / ``kernel_used``
+    record the requested and the executed tier, which differ *by design*
+    between the segmented-kernel baseline and today's kernel — every
+    physical field must still agree."""
     row = dict(row)
+    row.pop("kernel")
     row.pop("kernel_used")
     return row
 
@@ -93,9 +99,9 @@ def test_batched_grid_speedup_over_percase_segmented(benchmark, once,
     cases, geometry = _grid_cases()
 
     # --- baseline: per-case loop on the segmented kernel ----------------
+    baseline_cases = _segmented(cases)
     started = time.perf_counter()
-    with default_kernel("segmented"):
-        baseline = _run_percase(cases)
+    baseline = _run_percase(baseline_cases)
     baseline_s = time.perf_counter() - started
 
     # --- this series: one stacked flat-kernel pass per geometry ---------
@@ -127,6 +133,7 @@ def test_batched_grid_speedup_over_percase_segmented(benchmark, once,
     # for bit.
     assert len(batched) == len(baseline)
     for expected, observed in zip(baseline, batched):
+        assert expected.kernel == "segmented"
         left = _drop_kernel_provenance(_drop_elapsed(expected))
         right = _drop_kernel_provenance(_drop_elapsed(observed))
         assert set(left) == set(right)
@@ -176,9 +183,9 @@ def test_banked_batched_grid_speedup_over_percase_segmented(benchmark, once,
     identical to the per-case loop."""
     cases, geometry = _banked_grid_cases()
 
+    baseline_cases = _segmented(cases)
     started = time.perf_counter()
-    with default_kernel("segmented"):
-        baseline = _run_percase(cases)
+    baseline = _run_percase(baseline_cases)
     baseline_s = time.perf_counter() - started
 
     timing = {}
@@ -204,6 +211,7 @@ def test_banked_batched_grid_speedup_over_percase_segmented(benchmark, once,
 
     assert len(batched) == len(baseline)
     for expected, observed in zip(baseline, batched):
+        assert expected.kernel == "segmented"
         left = _drop_kernel_provenance(_drop_elapsed(expected))
         right = _drop_kernel_provenance(_drop_elapsed(observed))
         assert set(left) == set(right)

@@ -134,10 +134,7 @@ _LAZY_ENGINE_EXPORTS = (
     "VectorizedPowerCampaign",
     # kernel-tier helpers (numpy loads on first use, numba never before
     # the compiled tier is actually requested)
-    "KERNELS",
-    "default_kernel",
     "available_kernels",
-    "active_kernel",
     "resolve_kernel",
 )
 
@@ -181,8 +178,7 @@ __all__ = [
     "VectorizedEngine", "EngineError", "UnsupportedConfiguration",
     "VectorizedFaultCampaign", "UnsupportedFaultCampaign",
     "VectorizedPowerCampaign",
-    "KERNEL_CHOICES", "KERNELS", "default_kernel", "available_kernels",
-    "active_kernel", "resolve_kernel",
+    "KERNEL_CHOICES", "available_kernels", "resolve_kernel",
     "SweepRunner", "SweepCase", "CoverageCase", "PrrCase", "SweepResult",
     "sweep_grid", "coverage_grid", "prr_grid",
 ]

@@ -105,14 +105,13 @@ class BistController:
                  backend: str = "reference",
                  trace_cache: Optional[TraceCache] = None,
                  kernel: Optional[str] = None) -> None:
-        self._dispatch = BackendDispatcher("bist", self._make_engine,
-                                           error=BistError)
+        self._dispatch = BackendDispatcher(self._make_engine, error=BistError)
         self.backend = self._dispatch.validate(backend)
         if kernel is not None and kernel not in KERNEL_CHOICES:
             raise BistError(
                 f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}")
-        #: kernel tier of the vectorized power campaign (``None`` follows
-        #: the process default).
+        #: kernel tier of the vectorized power campaign (``None`` means
+        #: ``"flat"``).
         self.kernel = kernel
         self.geometry = geometry
         self.tech = tech or default_technology()

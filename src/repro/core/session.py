@@ -26,11 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuit.technology import TechnologyParameters, default_technology
-from ..engine.dispatch import (
-    KERNEL_CHOICES,
-    BackendDispatcher,
-    register_backend_family,
-)
+from ..engine.dispatch import BACKEND_CHOICES, KERNEL_CHOICES, BackendDispatcher
 from ..march.algorithm import MarchAlgorithm
 from ..march.element import AddressingDirection
 from ..march.execution import walk
@@ -127,9 +123,8 @@ class ModeComparison:
         }
 
 
-#: Valid values of the ``backend`` switch of :class:`TestSession`
-#: (the "session" family of :mod:`repro.engine.dispatch`).
-BACKENDS = register_backend_family("session")
+#: Valid values of the ``backend`` switch of :class:`TestSession`.
+BACKENDS = BACKEND_CHOICES
 
 
 class TestSession:
@@ -163,7 +158,7 @@ class TestSession:
                  detailed: Optional[bool] = None,
                  backend: str = "reference",
                  kernel: Optional[str] = None) -> None:
-        self._dispatch = BackendDispatcher("session", self._make_engine,
+        self._dispatch = BackendDispatcher(self._make_engine,
                                            error=SessionError)
         self.backend = self._dispatch.validate(backend)
         self.geometry = geometry
@@ -172,8 +167,7 @@ class TestSession:
         self.background = background if background is not None else solid_background(0)
         self.any_direction = any_direction
         self.detailed = detailed
-        #: kernel tier of the vectorized engine (``None`` follows the
-        #: process default; see :func:`repro.engine.vectorized.default_kernel`).
+        #: kernel tier of the vectorized engine (``None`` means ``"flat"``).
         #: Validated eagerly — the engine itself is built lazily.
         if kernel is not None and kernel not in KERNEL_CHOICES:
             raise SessionError(

@@ -107,7 +107,7 @@ def looks_like_lock(expr: ast.expr, module_locks: Set[str]) -> bool:
 
     Module-level ``threading.Lock()``/``RLock()`` names are known exactly;
     beyond those, any name or attribute containing ``lock`` (``self._lock``,
-    ``_REGISTRY_LOCK``) is accepted — the rule is about *unguarded* state,
+    ``_FALLBACK_LOCK``) is accepted — the rule is about *unguarded* state,
     and a mis-named lock is a different review problem.
     """
     if isinstance(expr, ast.Name):

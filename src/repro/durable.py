@@ -7,7 +7,7 @@ content or the complete new content, nothing in between.  PR 8's
 torn-header incident is what happens when that promise is kept by
 convention instead of by construction.
 
-These helpers are the construction, written once:
+The atomic-replace helpers are the construction, written once:
 
 * the new content goes to a ``mkstemp`` sibling in the *target's own
   directory* (same filesystem, so the final rename cannot degrade into a
@@ -23,6 +23,11 @@ truncating write under ``sweep/`` and ``serve/``; routing through this
 module is how call sites satisfy it.  This module itself lives outside
 the rule's scope on purpose: it is the one place allowed to spell the
 raw pattern.
+
+Append-only JSONL logs (the run journal, the serving workload trace)
+cannot be replaced per line; their crash mode is a torn final line.
+:func:`discard_torn_tail` is what both writers call before their first
+append, so a new line never merges into the fragment.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ import tempfile
 from pathlib import Path
 from typing import Union
 
-__all__ = ["atomic_write_bytes", "atomic_write_text", "fsync_directory"]
+__all__ = ["atomic_write_bytes", "atomic_write_text", "discard_torn_tail",
+           "fsync_directory"]
 
 
 def fsync_directory(directory: Union[str, Path]) -> None:
@@ -79,3 +85,28 @@ def atomic_write_text(path: Union[str, Path], text: str,
                       encoding: str = "utf-8") -> Path:
     """Durably replace ``path``'s content with ``text``; returns the path."""
     return atomic_write_bytes(path, text.encode(encoding))
+
+
+def discard_torn_tail(path: Union[str, Path]) -> None:
+    """Truncate a torn (newline-less) final line off an append-only log.
+
+    Appending straight after a torn tail would merge the new line into
+    the fragment, producing one complete-but-corrupt line that poisons
+    every later load.  Loaders already ignore the fragment, so dropping
+    it loses nothing.  A missing file is left alone.
+    """
+    try:
+        handle = Path(path).open("rb+")
+    except FileNotFoundError:
+        return
+    with handle:
+        end = handle.seek(0, os.SEEK_END)
+        if end == 0:
+            return
+        handle.seek(end - 1)
+        if handle.read(1) == b"\n":
+            return
+        # Torn (only after a crash): cut just past the last newline, or
+        # to empty when the whole file is one fragment.
+        handle.seek(0)
+        handle.truncate(handle.read().rfind(b"\n") + 1)

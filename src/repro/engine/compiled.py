@@ -20,10 +20,11 @@ energy sums may differ from numpy's ``bincount`` only by summation order
 ``cache=True`` persists the compiled kernel on disk, so the one-time
 compile cost is paid per machine, not per process; :func:`warm` loads (or
 builds) the cache eagerly with a dummy one-segment reduction, which is how
-:meth:`BackendDispatcher.warm` amortizes warm-up ahead of a measured run.
+:meth:`repro.engine.VectorizedEngine.warm` amortizes warm-up ahead of a
+measured run.
 
 This module is imported lazily by
-:func:`repro.engine.vectorized.kernel_module` — never at ``import repro``
+:func:`repro.engine.vectorized.compiled_module` — never at ``import repro``
 time — and its import fails cleanly (``ImportError``) when numba is
 absent, which :func:`repro.engine.vectorized.resolve_kernel` turns into a
 single-warning fallback to the ``"flat"`` tier.

@@ -81,8 +81,7 @@ class VectorizedPowerCampaign:
         self.tech = tech or default_technology()
         self.any_direction = any_direction
         #: kernel tier of the per-order aggregate engines (``None``
-        #: follows the process default; see
-        #: :func:`repro.engine.vectorized.default_kernel`).
+        #: means ``"flat"``).
         self.kernel = kernel
         #: compiled traces shared across runs (and optionally across tools).
         self.traces = trace_cache if trace_cache is not None else TraceCache()
@@ -114,8 +113,8 @@ class VectorizedPowerCampaign:
              ) -> "VectorizedPowerCampaign":
         """Amortize one run's cold costs: compile (or load from cache) the
         resolved kernel tier and this campaign's trace + segment structure
-        for ``(algorithm, order)``.  Best-effort companion of
-        :meth:`repro.engine.dispatch.BackendDispatcher.warm`."""
+        for ``(algorithm, order)``; reached through
+        :meth:`repro.bist.BistController.warm`."""
         self._engine_for(order).warm(algorithm)
         return self
 

@@ -35,18 +35,18 @@ from __future__ import annotations
 import threading
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import import_module
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..circuit.technology import TechnologyParameters, default_technology
 from ..core.lowpower import traversal_neighbour_delta
 from ..march.algorithm import MarchAlgorithm
-from ..march.element import AddressingDirection, MarchElement
+from ..march.element import AddressingDirection
 from ..march.execution import (
     OperationTrace,
     SegmentWalk,
     TraceCache,
-    resolve_direction,
 )
 from ..march.ordering import AddressOrder, RowMajorOrder
 from ..power.accounting import EnergyLedger
@@ -86,11 +86,12 @@ def _require_numpy() -> None:
         )
 
 
-#: Execution kernels of the vectorized backend.  ``"flat"`` (the default)
-#: evaluates the whole run as flat NumPy reductions over the compiled
-#: segment structure (:meth:`repro.march.execution.OperationTrace.segment_walk`)
-#: with closed-form decay sums — no per-row/per-segment Python loop on the
-#: hot path.  ``"segmented"`` is the original one-row-segment-at-a-time
+#: Execution kernels of the vectorized backend (:data:`KERNEL_CHOICES`).
+#: ``"flat"`` (the default, and what ``kernel=None`` means) evaluates the
+#: whole run as flat NumPy reductions over the compiled segment structure
+#: (:meth:`repro.march.execution.OperationTrace.segment_walk`) with
+#: closed-form decay sums — no per-row/per-segment Python loop on the hot
+#: path.  ``"segmented"`` is the original one-row-segment-at-a-time
 #: evaluation, retained as the differential oracle for the flat kernel and
 #: as the measured baseline of the grid benchmarks.  ``"jit"`` is the
 #: *compiled tier*: the same per-(unit, element) slot reductions executed
@@ -100,22 +101,6 @@ def _require_numpy() -> None:
 #: numba is absent a ``"jit"`` request falls back to ``"flat"`` with a
 #: single :class:`RuntimeWarning` (see :func:`resolve_kernel`), and
 #: importing :mod:`repro` (or this module) never loads numba.
-KERNELS = KERNEL_CHOICES
-
-#: Process-wide default kernel; see :func:`default_kernel`.  Rebinding it
-#: and mutating ``_TIER_CACHE`` below happen under ``_KERNEL_STATE_LOCK``:
-#: the serving layer resolves kernels from concurrent worker threads, and
-#: unguarded writes to process-wide kernel state are the RPR002 bug class.
-_DEFAULT_KERNEL = "flat"
-_KERNEL_STATE_LOCK = threading.Lock()
-
-#: Optional compiled-tier implementation modules, imported lazily on first
-#: resolution (never at ``import repro`` time — the PEP 562 contract).
-_TIER_MODULES: Dict[str, str] = {"jit": ".compiled"}
-
-#: Lazily-imported tier modules: name -> module, or ``None`` when the
-#: import failed (dependency absent).  :func:`reset_kernel_state` clears it.
-_TIER_CACHE: Dict[str, Optional[object]] = {}
 
 #: Tiers whose fallback has already been warned about (warn once per tier
 #: per process; cleared by :func:`reset_kernel_state`).  Guarded by
@@ -135,53 +120,43 @@ def _claim_fallback_warning(tier: str) -> bool:
         return True
 
 
-def kernel_module(tier: str):
-    """The implementation module of a compiled tier, or ``None``.
+@lru_cache(maxsize=None)
+def compiled_module():
+    """The compiled tier's module (:mod:`repro.engine.compiled`), or ``None``.
 
-    Imports :mod:`repro.engine.compiled` on first request and memoises the outcome — including the *failed*
-    outcome, so an absent dependency is probed exactly once per process.
-    Returns ``None`` for the built-in numpy tiers (they live here).
+    Imported on first call — never at ``import repro`` time — and
+    memoised, including the *failed* outcome, so an absent numba is
+    probed once per process (:func:`reset_kernel_state` forgets it).
     """
-    if tier not in _TIER_MODULES:
-        return None
-    with _KERNEL_STATE_LOCK:
-        if tier in _TIER_CACHE:
-            return _TIER_CACHE[tier]
-    # Probe outside the lock — importing a compiled tier can be slow and
-    # takes the interpreter's import lock; a racing duplicate probe is
-    # idempotent and setdefault keeps the first outcome.
     try:
-        module: Optional[object] = import_module(
-            _TIER_MODULES[tier], __package__)
+        return import_module(".compiled", __package__)
     except ImportError:
-        module = None
-    with _KERNEL_STATE_LOCK:
-        return _TIER_CACHE.setdefault(tier, module)
+        return None
 
 
 def kernel_available(tier: str) -> bool:
     """Whether a kernel tier can actually execute in this process."""
-    if tier in _TIER_MODULES:
-        return kernel_module(tier) is not None
+    if tier == "jit":
+        return compiled_module() is not None
     return tier in ("flat", "segmented")
 
 
 def available_kernels() -> Tuple[str, ...]:
     """Every concrete kernel tier runnable in this process (no ``"auto"``)."""
-    return tuple(tier for tier in KERNELS
+    return tuple(tier for tier in KERNEL_CHOICES
                  if tier != "auto" and kernel_available(tier))
 
 
 def resolve_kernel(kernel: str, warn: bool = True) -> str:
     """Map a requested kernel to the tier that will actually run.
 
-    ``"auto"`` picks the best available compiled tier (``"jit"`` when
-    numba is importable) and otherwise ``"flat"`` — silently, since auto
-    explicitly delegates the choice.  An *explicitly* requested compiled
-    tier whose dependency is absent falls back to ``"flat"`` and warns
-    once per tier per process (:class:`RuntimeWarning`), so a script that
+    ``"auto"`` picks the compiled tier (``"jit"``) when numba is
+    importable and otherwise ``"flat"``.  A ``"jit"`` request whose
+    dependency is absent also falls back to ``"flat"``, so a script that
     asked for ``"jit"`` on a numba-less machine still runs — truthfully
-    reported through ``last_kernel_used`` and the sweep records.
+    reported through ``last_kernel_used`` and the sweep records.  Either
+    fallback warns once per requested tier per process
+    (:class:`RuntimeWarning`).
     """
     if kernel == "auto":
         if kernel_available("jit"):
@@ -192,7 +167,7 @@ def resolve_kernel(kernel: str, warn: bool = True) -> str:
                 "not importable); using the 'flat' numpy kernel",
                 RuntimeWarning, stacklevel=3)
         return "flat"
-    if kernel in _TIER_MODULES and not kernel_available(kernel):
+    if kernel == "jit" and not kernel_available("jit"):
         if warn and _claim_fallback_warning(kernel):
             warnings.warn(
                 f"kernel {kernel!r} is unavailable (numba is not "
@@ -202,71 +177,12 @@ def resolve_kernel(kernel: str, warn: bool = True) -> str:
     return kernel
 
 
-def note_kernel_fallback(requested: Optional[str], used: Optional[str],
-                         context: str = "") -> bool:
-    """Warn once per process when a *requested* tier ran as ``"flat"``.
-
-    The record-level companion of :func:`resolve_kernel`: callers that
-    observe provenance after the fact (the batched grid engine comparing a
-    case's requested ``kernel`` against the record's ``kernel_used``) warn
-    through the same once-per-tier registry, so a fallback is reported
-    exactly once no matter which seam notices it first.  Returns ``True``
-    when a warning was emitted.
-    """
-    if requested not in ("jit", "auto"):
-        return False
-    if used != "flat" or not _claim_fallback_warning(requested):
-        return False
-    where = f" [{context}]" if context else ""
-    warnings.warn(
-        f"requested kernel {requested!r} fell back to the 'flat' numpy "
-        f"kernel (compiled-tier dependency absent){where}; records carry "
-        "the tier actually used", RuntimeWarning, stacklevel=3)
-    return True
-
-
-def active_kernel() -> str:
-    """The concrete tier the process default currently resolves to."""
-    return resolve_kernel(_DEFAULT_KERNEL, warn=False)
-
-
 def reset_kernel_state() -> None:
-    """Forget tier-availability probes and fallback warnings (test hook:
+    """Forget the compiled-tier probe and fallback warnings (test hook:
     lets a suite patch ``sys.modules`` and re-probe from scratch)."""
-    with _KERNEL_STATE_LOCK:
-        _TIER_CACHE.clear()
+    compiled_module.cache_clear()
     with _FALLBACK_LOCK:
         _FALLBACK_WARNED.clear()
-
-
-class default_kernel:
-    """Context manager pinning the process-wide default execution kernel.
-
-    Benchmarks use this to measure the pre-flat-kernel baseline end to end
-    (facades construct their engines internally, so a constructor argument
-    cannot reach them)::
-
-        with default_kernel("segmented"):
-            records = [execute_case(case) for case in cases]
-    """
-
-    def __init__(self, kernel: str) -> None:
-        if kernel not in KERNELS:
-            raise EngineError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
-        self.kernel = kernel
-        self._previous: Optional[str] = None
-
-    def __enter__(self) -> "default_kernel":
-        global _DEFAULT_KERNEL
-        with _KERNEL_STATE_LOCK:
-            self._previous = _DEFAULT_KERNEL
-            _DEFAULT_KERNEL = self.kernel
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        global _DEFAULT_KERNEL
-        with _KERNEL_STATE_LOCK:
-            _DEFAULT_KERNEL = self._previous
 
 
 #: Segments evaluated per flat-kernel tile; bounds the size of the
@@ -395,9 +311,9 @@ class VectorizedEngine:
                  kernel: Optional[str] = None,
                  segment_chunk: Optional[int] = None) -> None:
         _require_numpy()
-        if kernel is not None and kernel not in KERNELS:
+        if kernel is not None and kernel not in KERNEL_CHOICES:
             raise EngineError(
-                f"unknown kernel {kernel!r}; expected one of {KERNELS}")
+                f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}")
         self.geometry = geometry
         self.tech = tech or default_technology()
         self.order = order or RowMajorOrder(geometry)
@@ -405,8 +321,7 @@ class VectorizedEngine:
         self.clock = ClockCycle.from_technology(self.tech)
         detailed_default = geometry.cell_count <= SRAM.DETAILED_CELL_LIMIT
         self.track_cell_stress = detailed_default if detailed is None else detailed
-        #: execution kernel; ``None`` follows the process default
-        #: (see :class:`default_kernel`).
+        #: execution kernel; ``None`` means ``"flat"``.
         self.kernel = kernel
         #: flat-kernel tile size (segments per tile, unit-local).
         self.segment_chunk = segment_chunk or DEFAULT_SEGMENT_CHUNK
@@ -494,15 +409,6 @@ class VectorizedEngine:
     # ------------------------------------------------------------------
     # Walk expansion helpers
     # ------------------------------------------------------------------
-    def _element_walk(self, element: MarchElement
-                      ) -> Tuple[AddressingDirection, "np.ndarray", "np.ndarray"]:
-        """Direction and (rows, words) coordinate arrays for one element."""
-        direction = resolve_direction(element, self.any_direction)
-        rows, words = self.order.coordinate_arrays()
-        if direction is AddressingDirection.DOWN:
-            rows, words = rows[::-1], words[::-1]
-        return direction, rows, words
-
     def _decayed_restore_energy(self, elapsed_cycles: "np.ndarray") -> float:
         """Supply energy to recharge bit lines floating for ``elapsed_cycles``.
 
@@ -571,12 +477,12 @@ class VectorizedEngine:
         )
 
     def resolved_kernel(self, kernel: Optional[str] = None) -> str:
-        """The execution kernel a run will use (explicit > engine > default)."""
+        """The execution kernel a run will use (explicit > engine > flat)."""
         chosen = kernel if kernel is not None else self.kernel
-        chosen = chosen if chosen is not None else _DEFAULT_KERNEL
-        if chosen not in KERNELS:
+        chosen = chosen if chosen is not None else "flat"
+        if chosen not in KERNEL_CHOICES:
             raise EngineError(
-                f"unknown kernel {chosen!r}; expected one of {KERNELS}")
+                f"unknown kernel {chosen!r}; expected one of {KERNEL_CHOICES}")
         return chosen
 
     def trace_for(self, algorithm: MarchAlgorithm) -> OperationTrace:
@@ -591,16 +497,14 @@ class VectorizedEngine:
 
         Two warm-up layers: the resolved kernel tier's compiled artefacts
         (numba's ``cache=True`` on-disk cache is loaded — or the kernel
-        compiled — by a tiny dummy reduction), and, when ``algorithm`` is given, this engine's
-        memoised trace plus its compiled segment structure (the dominant
-        cold cost at large geometries).  Idempotent and cheap when already
-        warm; reached facade-first through
-        :meth:`repro.engine.dispatch.BackendDispatcher.warm`.
+        compiled — by a tiny dummy reduction), and, when ``algorithm`` is
+        given, this engine's memoised trace plus its compiled segment
+        structure (the dominant cold cost at large geometries).  Idempotent
+        and cheap when already warm; reached facade-first through
+        :meth:`repro.bist.BistController.warm`.
         """
-        tier = resolve_kernel(self.resolved_kernel(kernel), warn=False)
-        module = kernel_module(tier)
-        if module is not None:
-            module.warm()
+        if resolve_kernel(self.resolved_kernel(kernel), warn=False) == "jit":
+            compiled_module().warm()
         if algorithm is not None:
             self.trace_for(algorithm).segment_walk()
         return self
@@ -619,27 +523,8 @@ class VectorizedEngine:
         and memoises its own.  ``kernel`` overrides the engine's
         execution kernel for this run.
         """
-        algorithm.validate()
-        chosen = resolve_kernel(self.resolved_kernel(kernel))
-        if chosen != "segmented":
-            if trace is None:
-                trace = self.trace_for(algorithm)
-            result = self.run_aggregates_batch([(algorithm, mode, trace)],
-                                               kernel=chosen)[0]
-            by_source, counters, cycles, stress = result
-        else:
-            if trace is not None:
-                walks = trace.element_walks()
-            else:
-                walks = [self._element_walk(element)
-                         for element in algorithm.elements]
-            if mode is OperatingMode.LOW_POWER_TEST:
-                by_source, counters, cycles, stress = \
-                    self._run_low_power(algorithm, walks)
-            else:
-                by_source, counters, cycles, stress = \
-                    self._run_functional(algorithm, walks)
-            self.last_kernel_used = "segmented"
+        by_source, counters, cycles, stress = self.run_aggregates_batch(
+            [(algorithm, mode, trace)], kernel=kernel)[0]
         self.last_stress = stress
         self.last_counters = counters
         return by_source, counters, cycles, stress
@@ -667,21 +552,23 @@ class VectorizedEngine:
         fallback backend.
 
         ``kernel`` overrides the engine's kernel for this batch.  The
-        batch path *is* the flat orchestration, so ``"segmented"`` maps
-        to the ``"flat"`` tier here (matching the pre-tier behaviour of
-        this method); the compiled tier (``"jit"``) swaps in its own
-        implementation of the per-segment slot reductions and is
-        availability-checked through :func:`resolve_kernel` first.
+        compiled tier (``"jit"``) swaps in its own implementation of the
+        per-segment slot reductions and is availability-checked through
+        :func:`resolve_kernel` first; ``"segmented"`` has nothing to stack,
+        so its units run one after another through the segmented oracle.
         """
         tier = resolve_kernel(self.resolved_kernel(kernel))
-        if tier == "segmented":
-            tier = "flat"
         prepared = []
         for algorithm, mode, trace in requests:
             algorithm.validate()
             if trace is None:
                 trace = self.trace_for(algorithm)
             prepared.append((algorithm, mode, trace))
+        self.last_kernel_used = tier
+        if tier == "segmented":
+            return [self._segmented_outcome(algorithm, mode, trace,
+                                            collect_errors)
+                    for algorithm, mode, trace in prepared]
 
         results: List[object] = [None] * len(prepared)
         low_power_units = []
@@ -699,8 +586,21 @@ class VectorizedEngine:
                                                            collect_errors,
                                                            tier)):
                 results[index] = outcome
-        self.last_kernel_used = tier
         return results
+
+    def _segmented_outcome(self, algorithm: MarchAlgorithm,
+                           mode: OperatingMode, trace: OperationTrace,
+                           collect_errors: bool):
+        """One batch unit on the segmented kernel; with ``collect_errors``
+        an engine rejection is returned in place of the aggregates."""
+        run = (self._run_low_power if mode is OperatingMode.LOW_POWER_TEST
+               else self._run_functional)
+        try:
+            return run(algorithm, trace.element_walks())
+        except EngineError as error:
+            if not collect_errors:
+                raise
+            return error
 
     def compare_modes(self, algorithm: MarchAlgorithm) -> "ModeComparison":
         """Vectorized functional vs. low-power comparison (the PRR measurement)."""
@@ -1248,13 +1148,8 @@ class VectorizedEngine:
         recharge = np.zeros(total_slots, dtype=np.float64)
         restore_energy = np.zeros(total_slots, dtype=np.float64)
 
-        module = kernel_module(tier)
-        if module is not None:
-            def reduce_tile(*args):
-                return module.reduce_tile(*args)
-        else:
-            def reduce_tile(*args):
-                return _reduce_tile_arrays(*args)
+        reduce_tile = (compiled_module().reduce_tile if tier == "jit"
+                       else _reduce_tile_arrays)
 
         def reduce_piece(unit, lo, hi):
             """Accumulate one unit-local tile of segments into the slots."""

@@ -68,10 +68,25 @@ class ServeError(Exception):
 
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed", 500: "Internal Server Error"}
+            405: "Method Not Allowed",
+            431: "Request Header Fields Too Large",
+            500: "Internal Server Error"}
 
 #: Default TCP port (spells "SRV" on a phone keypad, near enough).
 DEFAULT_PORT = 8077
+
+
+class _LineTooLong(Exception):
+    """A request or header line overran the stream reader's limit."""
+
+
+async def _readline(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line; raises :class:`_LineTooLong` past the
+    reader's limit (asyncio's default is 64 KiB)."""
+    try:
+        return await reader.readline()
+    except ValueError as exc:  # how StreamReader reports a limit overrun
+        raise _LineTooLong() from exc
 
 
 class _Pending:
@@ -192,7 +207,7 @@ class CampaignService:
             self._connections.add(task)
         try:
             while True:
-                request_line = await reader.readline()
+                request_line = await _readline(reader)
                 if not request_line:
                     break
                 try:
@@ -205,7 +220,7 @@ class CampaignService:
                     break
                 headers = {}
                 while True:
-                    line = await reader.readline()
+                    line = await _readline(reader)
                     if line in (b"\r\n", b"\n", b""):
                         break
                     name, _, value = line.decode("latin-1").partition(":")
@@ -227,6 +242,13 @@ class CampaignService:
                     break
         except (asyncio.IncompleteReadError, ConnectionError):
             pass  # client went away; nothing to answer
+        except _LineTooLong:
+            try:
+                await self._respond(
+                    writer, 431, {"error": "request or header line too long"},
+                    keep_alive=False)
+            except ConnectionError:
+                pass  # client went away; nothing to answer
         except asyncio.CancelledError:
             pass  # service stopping: drop the idle connection quietly
         finally:

@@ -15,8 +15,9 @@ Format: every line is an independent JSON object ::
 
 ``arrival_s`` is seconds since the trace opened (replay-friendly:
 relative, monotonic).  A torn final line — the serving process killed
-mid-append — is dropped on load, mirroring the run journal's torn-tail
-tolerance.
+mid-append — is dropped on load, and truncated away before a restarted
+writer appends (:func:`repro.durable.discard_torn_tail`, shared with the
+run journal).
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import threading
 import time
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
+
+from ..durable import discard_torn_tail
 
 #: The ``format`` tag every trace line carries.
 TRACE_FORMAT = "repro-serve-trace"
@@ -64,6 +67,7 @@ class WorkloadTrace:
         with self._lock:
             if self._handle is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
+                discard_torn_tail(self.path)
                 self._handle = self.path.open("a", encoding="utf-8")
             line = json.dumps({
                 "format": TRACE_FORMAT,

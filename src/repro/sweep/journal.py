@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..durable import discard_torn_tail
+
 
 class JournalError(Exception):
     """Raised on malformed or foreign journal files."""
@@ -142,27 +144,9 @@ class RunJournal:
     def open(self) -> "RunJournal":
         """Open the append handle now (probe writability up front)."""
         if self._handle is None:
-            self._discard_torn_tail()
+            discard_torn_tail(self.path)
             self._handle = self.path.open("a", encoding="utf-8")
         return self
-
-    def _discard_torn_tail(self) -> None:
-        """Physically drop a torn (newline-less) final line before appending.
-
-        Appending straight after a torn tail would merge the new entry
-        into the fragment, producing one complete-but-corrupt line that
-        poisons every later :meth:`load`.  The loader already ignores the
-        fragment, so truncating it loses nothing — the interrupted case
-        re-runs either way.
-        """
-        if not self.path.exists():
-            return
-        data = self.path.read_bytes()
-        if not data or data.endswith(b"\n"):
-            return
-        cut = data.rfind(b"\n") + 1  # 0 when the file is a single fragment
-        with self.path.open("rb+") as handle:
-            handle.truncate(cut)
 
     def append(self, entry: JournalEntry) -> None:
         """Durably append one completed case (flush + fsync per line)."""

@@ -251,9 +251,7 @@ class SweepCase:
     banks: int = 1
     bank_interleave: str = "blocked"
     #: vectorized-engine kernel tier (:data:`KERNEL_CHOICES`); ``None``
-    #: follows the process default (see
-    #: :func:`repro.engine.vectorized.default_kernel`), which is what
-    #: keeps kernel-pinning context managers effective in-process.
+    #: means ``"flat"`` and is recorded as ``"default"``.
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -297,8 +295,8 @@ class SweepRecord(_Record):
     elapsed_s: float
     banks: int = 1
     bank_interleave: str = "blocked"
-    kernel: str = "default"  # requested kernel tier ("default" = follow
-                             # the process default)
+    kernel: str = "default"  # requested kernel tier ("default" = none
+                             # requested: the flat tier)
     kernel_used: str = ""    # concrete tier(s) that measured the modes
                              # ("flat"/"segmented"/"jit", joined with
                              # "+" if they differed; "" = reference
@@ -660,9 +658,8 @@ class PrrCase:
     seed: int = 0
     banks: int = 1
     bank_interleave: str = "blocked"
-    #: Kernel tier request for the vectorized campaign (``None`` follows
-    #: the process-wide default, keeping ``default_kernel(...)`` pinning
-    #: effective in-process).
+    #: Kernel tier request for the vectorized campaign (``None`` means
+    #: ``"flat"`` and is recorded as ``"default"``).
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -717,7 +714,7 @@ class PrrRecord(_Record):
     elapsed_s: float
     banks: int = 1
     bank_interleave: str = "blocked"
-    kernel: str = "default"   # requested tier ("default" = process default)
+    kernel: str = "default"   # requested tier ("default" = flat)
     kernel_used: str = ""     # "+"-joined tiers that ran ("" = reference only)
 
     def table_row(self) -> Dict[str, object]:

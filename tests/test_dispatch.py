@@ -1,9 +1,8 @@
-"""The shared backend dispatch registry (repro.engine.dispatch).
+"""The shared backend dispatch seam (repro.engine.dispatch).
 
-Covers the family registry (the three facades register their ``backend``
-switch choices once), the :class:`BackendDispatcher` fallback contract the
-facades delegate to, and the numpy-independence of the dispatch layer
-(importing it must not load the vectorized engine modules).
+Covers the :class:`BackendDispatcher` fallback contract the facades
+delegate to, and the numpy-independence of the dispatch layer (importing
+it must not load the vectorized engine modules).
 """
 
 from __future__ import annotations
@@ -14,46 +13,13 @@ import sys
 
 import pytest
 
-from repro.bist import POWER_BACKENDS, BistController
+from repro.bist import BistController
 from repro.bist.controller import BistError
-from repro.core.session import BACKENDS, SessionError, TestSession
-from repro.engine.dispatch import (
-    BACKEND_CHOICES,
-    BackendDispatcher,
-    EngineError,
-    backend_choices,
-    backend_families,
-    register_backend_family,
-)
-from repro.faults import FAULT_BACKENDS, FaultSimulator
+from repro.core.session import SessionError, TestSession
+from repro.engine.dispatch import BackendDispatcher, EngineError
+from repro.faults import FaultSimulator
 from repro.faults.simulator import FaultSimulationError
 from repro.sram.geometry import ArrayGeometry
-
-
-# ----------------------------------------------------------------------
-# Family registry
-# ----------------------------------------------------------------------
-def test_facade_families_are_registered():
-    families = backend_families()
-    assert {"session", "faults", "bist"} <= set(families)
-    assert families["session"] == BACKEND_CHOICES
-    assert families["faults"] == BACKEND_CHOICES
-    assert families["bist"] == BACKEND_CHOICES
-
-
-def test_facade_constants_come_from_the_registry():
-    assert BACKENDS == backend_choices("session")
-    assert FAULT_BACKENDS == backend_choices("faults")
-    assert POWER_BACKENDS == backend_choices("bist")
-    assert BACKENDS == FAULT_BACKENDS == POWER_BACKENDS == BACKEND_CHOICES
-
-
-def test_reregistration_is_idempotent_but_conflicts_raise():
-    assert register_backend_family("session") == BACKEND_CHOICES
-    with pytest.raises(ValueError):
-        register_backend_family("session", ("reference",))
-    with pytest.raises(KeyError):
-        backend_choices("no-such-family")
 
 
 # ----------------------------------------------------------------------
@@ -64,7 +30,7 @@ class _StubError(Exception):
 
 
 def _dispatcher(factory, error=_StubError):
-    return BackendDispatcher("session", factory, error=error)
+    return BackendDispatcher(factory, error=error)
 
 
 def test_dispatcher_engine_is_lazy_and_cached():
@@ -219,10 +185,10 @@ def test_facade_provenance_is_thread_local_everywhere():
 # numpy independence of the dispatch layer
 # ----------------------------------------------------------------------
 def test_dispatch_imports_without_loading_vectorized_modules():
-    """Catching EngineError / consulting the registry must not need numpy."""
+    """Catching EngineError / validating a backend must not need numpy."""
     code = (
         "import sys\n"
-        "from repro.engine import EngineError, backend_families\n"
+        "from repro.engine import BACKEND_CHOICES, EngineError\n"
         "from repro.engine.dispatch import BackendDispatcher\n"
         "import repro.sweep.journal\n"
         "loaded = [m for m in sys.modules\n"

@@ -70,6 +70,21 @@ def test_coverage_records_identical_across_strategies():
     assert_identical_records(*run_both(cases))
 
 
+def test_segmented_kernel_identical_in_process_pool_and_per_case():
+    """A grid that requests the segmented kernel runs it on every path:
+    the in-process grid engine, the worker pool and the per-case unit all
+    record ``kernel_used == "segmented"`` with identical measurements."""
+    cases = (sweep_grid(["8x16"], ["MATS+"], backends=("vectorized",),
+                        kernel="segmented")
+             + prr_grid(["8x16"], ["MATS+"], backend="vectorized",
+                        kernel="segmented"))
+    percase, batched = run_both(cases)
+    pooled = SweepRunner(cases, processes=2).run()
+    assert_identical_records(percase, batched)
+    assert_identical_records(percase, pooled)
+    assert {record.kernel_used for record in batched} == {"segmented"}
+
+
 def test_mixed_grid_identical_and_in_input_order():
     """A grid mixing all three kinds and both backends: identical records,
     emitted (and journaled) in input order despite group stacking."""

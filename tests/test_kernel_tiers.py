@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import sys
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -160,7 +161,7 @@ def test_bist_controller_threads_and_stamps_kernel(clean_kernels):
 
 
 # ----------------------------------------------------------------------
-# Dispatcher warm hook
+# Warm hook
 # ----------------------------------------------------------------------
 def test_engine_warm_is_chainable_and_safe(clean_kernels):
     from repro.engine import VectorizedEngine
@@ -169,11 +170,6 @@ def test_engine_warm_is_chainable_and_safe(clean_kernels):
     assert engine.warm(MARCH_CM) is engine
     # Warming compiled the trace: the memo returns the same object.
     assert engine.trace_for(MARCH_CM) is engine.trace_for(MARCH_CM)
-
-
-def test_dispatcher_warm_reports_success(clean_kernels):
-    session = TestSession(GEOMETRY, backend="vectorized")
-    assert session._dispatch.warm(MARCH_CM) is True
 
 
 # ----------------------------------------------------------------------
@@ -201,13 +197,23 @@ def test_prr_records_carry_kernel_fields(clean_kernels):
     assert record.kernel_used == "flat"
 
 
-def test_grid_engine_tracks_last_kernel_used(clean_kernels):
-    from repro.engine.grid import BatchedGridEngine
-
-    engine = BatchedGridEngine(sweep_grid(["8x16"], ["MATS+"],
-                                          kernel="flat"))
-    records = [record for _, record in engine.completions()]
-    assert records and engine.last_kernel_used == "flat"
+def test_unrequested_kernel_runs_flat_and_records_default(clean_kernels):
+    """``kernel=None`` is the flat tier, recorded as ``"default"``: power
+    and PRR cases, per case and through the grid engine, measure exactly
+    what an explicit ``kernel="flat"`` request measures."""
+    cases = (sweep_grid(["8x16"], ["MATS+"], backends=("vectorized",))
+             + prr_grid(["8x16"], ["MATS+"], backend="vectorized"))
+    assert {case.kernel for case in cases} == {None}
+    percase = [execute_case(case) for case in cases]
+    batched = SweepRunner(cases, processes=1).run()
+    for record in [*percase, *batched]:
+        assert (record.kernel, record.kernel_used) == ("default", "flat")
+    explicit = SweepRunner([replace(case, kernel="flat") for case in cases],
+                           processes=1).run()
+    for default, flat in zip(batched, explicit):
+        assert flat.kernel == "flat"
+        assert replace(default, kernel="flat", elapsed_s=0.0) == \
+            replace(flat, elapsed_s=0.0)
 
 
 def test_engine_run_state_is_thread_local(clean_kernels):

@@ -3,9 +3,9 @@
 Every fix the RPR rules forced on ``src/repro`` is pinned here by
 behaviour, not just by the lint gate staying clean:
 
-* RPR002 — the backend-family registry and the kernel-tier state
-  (``_TIER_CACHE``, ``_DEFAULT_KERNEL``) are lock-guarded and survive
-  concurrent hammering;
+* RPR002 — the kernel-tier state (the memoised compiled-tier probe and
+  the warn-once fallback registry) survives concurrent probing and
+  resetting;
 * RPR003 — sweep JSON/CSV exports and the serve cache publish
   atomically: a failing ``os.replace`` leaves the previous artifact
   intact and no temp litter behind;
@@ -25,8 +25,6 @@ import pytest
 from repro import durable
 from repro.circuit.technology import TechnologyParameters
 from repro.engine import vectorized
-from repro.engine.dispatch import (backend_choices, backend_families,
-                                   register_backend_family)
 from repro.serve.cache import ResultCache
 from repro.sweep.runner import SweepResult
 
@@ -51,44 +49,11 @@ def hammer(workers):
         raise errors[0]
 
 
-class TestRegistryLocking:
-    def test_concurrent_family_registration(self):
-        families = [f"scratch-family-{i}" for i in range(8)]
-
-        def register(name):
-            for _ in range(200):
-                register_backend_family(name, ("reference", "auto"))
-
-        try:
-            hammer([lambda name=name: register(name) for name in families])
-            snapshot = backend_families()
-            for name in families:
-                assert snapshot[name] == ("reference", "auto")
-                assert backend_choices(name) == ("reference", "auto")
-        finally:
-            from repro.engine import dispatch
-
-            with dispatch._REGISTRY_LOCK:
-                for name in families:
-                    dispatch._FAMILIES.pop(name, None)
-
-    def test_conflicting_registration_still_raises(self):
-        register_backend_family("scratch-conflict", ("a", "b"))
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_backend_family("scratch-conflict", ("a", "c"))
-        finally:
-            from repro.engine import dispatch
-
-            with dispatch._REGISTRY_LOCK:
-                dispatch._FAMILIES.pop("scratch-conflict", None)
-
-
 class TestKernelStateLocking:
     def test_concurrent_probe_and_reset(self):
         def probe():
             for _ in range(100):
-                vectorized.kernel_module("jit")
+                vectorized.compiled_module()
                 vectorized.kernel_available("jit")
 
         def reset():
@@ -99,30 +64,6 @@ class TestKernelStateLocking:
             hammer([probe, probe, reset, probe])
         finally:
             vectorized.reset_kernel_state()
-
-    def test_default_kernel_pins_and_restores(self):
-        before = vectorized._DEFAULT_KERNEL
-        with vectorized.default_kernel("segmented"):
-            assert vectorized._DEFAULT_KERNEL == "segmented"
-            with vectorized.default_kernel("flat"):
-                assert vectorized._DEFAULT_KERNEL == "flat"
-            assert vectorized._DEFAULT_KERNEL == "segmented"
-        assert vectorized._DEFAULT_KERNEL == before
-
-    def test_default_kernel_concurrent_swaps_stay_valid(self):
-        # Interleaved contexts may restore in any order; the lock's job
-        # is that every observed value is a real pinned tier, never a
-        # torn/stale read.
-        def pin(tier):
-            for _ in range(100):
-                with vectorized.default_kernel(tier):
-                    assert vectorized._DEFAULT_KERNEL in ("flat", "segmented")
-
-        try:
-            hammer([lambda: pin("segmented"), lambda: pin("flat")])
-        finally:
-            with vectorized._KERNEL_STATE_LOCK:
-                vectorized._DEFAULT_KERNEL = "flat"
 
 
 class TestAtomicExports:

@@ -321,6 +321,19 @@ def test_trace_drops_a_torn_tail_but_rejects_foreign_content(tmp_path):
     assert load_trace(tmp_path / "missing.jsonl") == []
 
 
+def test_trace_restarted_after_a_torn_tail_appends_cleanly(tmp_path):
+    # A service killed mid-append, then restarted on the same --trace:
+    # the next record must not merge into the torn fragment.
+    path = tmp_path / "trace.jsonl"
+    with WorkloadTrace(path) as trace:
+        trace.record("d1", "power", {}, "miss", 1.0)
+    with path.open("a") as handle:
+        handle.write('{"arrival_s": 3.14, "case": "' + "x" * 10_000)
+    with WorkloadTrace(path) as trace:
+        trace.record("d2", "power", {}, "hit", 0.5)
+    assert [r["digest"] for r in load_trace(path)] == ["d1", "d2"]
+
+
 # ----------------------------------------------------------------------
 # The live service
 # ----------------------------------------------------------------------
@@ -470,6 +483,24 @@ def test_invalid_content_length_is_answered_400(tmp_path):
                     {"error": "invalid Content-Length"}
                 assert response.getheader("Connection") == "close"
         # The service keeps answering on a new connection.
+        with ServeClient(host, port) as client:
+            assert client.health() == {"status": "ok"}
+
+
+def test_overlong_request_or_header_line_is_answered_431(tmp_path):
+    padding = b"a" * 70_000  # past asyncio's 64 KiB StreamReader limit
+    with running_service(tmp_path / "cache") as (service, host, port):
+        for head in (b"GET /healthz HTTP/1.1\r\nX-Padding: " + padding
+                     + b"\r\n\r\n",
+                     b"GET /" + padding + b" HTTP/1.1\r\n\r\n"):
+            with socket.create_connection((host, port), timeout=30) as raw:
+                raw.sendall(head)
+                response = http.client.HTTPResponse(raw)
+                response.begin()
+                assert response.status == 431
+                assert json.loads(response.read()) == \
+                    {"error": "request or header line too long"}
+                assert response.getheader("Connection") == "close"
         with ServeClient(host, port) as client:
             assert client.health() == {"status": "ok"}
 
