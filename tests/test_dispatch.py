@@ -13,13 +13,33 @@ import sys
 
 import pytest
 
-from repro.bist import BistController
+from repro.bist import POWER_BACKENDS, BistController
 from repro.bist.controller import BistError
-from repro.core.session import SessionError, TestSession
-from repro.engine.dispatch import BackendDispatcher, EngineError
-from repro.faults import FaultSimulator
+from repro.core.session import BACKENDS, SessionError, TestSession
+from repro.engine.dispatch import (
+    BACKEND_CHOICES,
+    BackendDispatcher,
+    EngineError,
+)
+from repro.faults import FAULT_BACKENDS, FaultSimulator
 from repro.faults.simulator import FaultSimulationError
 from repro.sram.geometry import ArrayGeometry
+
+
+# ----------------------------------------------------------------------
+# The backend switch values
+# ----------------------------------------------------------------------
+def test_facade_constants_are_the_backend_choices():
+    assert BACKEND_CHOICES == ("reference", "vectorized", "auto")
+    assert BACKENDS == FAULT_BACKENDS == POWER_BACKENDS == BACKEND_CHOICES
+
+
+def test_every_facade_accepts_every_backend_choice():
+    geometry = ArrayGeometry(4, 4)
+    for backend in BACKEND_CHOICES:
+        assert TestSession(geometry, backend=backend).backend == backend
+        assert FaultSimulator(geometry, backend=backend).backend == backend
+        assert BistController(geometry, backend=backend).backend == backend
 
 
 # ----------------------------------------------------------------------

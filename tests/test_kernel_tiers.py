@@ -172,6 +172,23 @@ def test_engine_warm_is_chainable_and_safe(clean_kernels):
     assert engine.trace_for(MARCH_CM) is engine.trace_for(MARCH_CM)
 
 
+def test_bist_controller_warm_compiles_the_trace_once(clean_kernels):
+    from repro.march.execution import TraceCache
+
+    algorithm = get_algorithm("MATS+")
+    traces = TraceCache()
+    controller = BistController(GEOMETRY, backend="vectorized",
+                                kernel="flat", trace_cache=traces)
+    controller.warm(algorithm)
+    assert len(traces) == 1
+    controller.run(algorithm, low_power=True)
+    assert len(traces) == 1  # the run reused the warmed trace
+    reference = BistController(GEOMETRY, backend="reference",
+                               trace_cache=TraceCache())
+    reference.warm(algorithm)
+    assert not reference._dispatch.engine_built
+
+
 # ----------------------------------------------------------------------
 # Sweep records: requested vs. executed tier, per-case vs grid engine
 # ----------------------------------------------------------------------
@@ -214,6 +231,25 @@ def test_unrequested_kernel_runs_flat_and_records_default(clean_kernels):
         assert flat.kernel == "flat"
         assert replace(default, kernel="flat", elapsed_s=0.0) == \
             replace(flat, elapsed_s=0.0)
+
+
+def test_grid_engine_records_each_cases_kernel(clean_kernels):
+    """One grid-engine run over a flat and a segmented axis: every record
+    carries the tier its own case executed, and matches that case run
+    alone."""
+    from repro.engine.grid import BatchedGridEngine
+
+    cases = [*sweep_grid(["8x16"], ["MATS+", "March C-"], kernel="flat"),
+             *sweep_grid(["8x16"], ["MATS+", "March C-"],
+                         kernel="segmented"),
+             *prr_grid(["8x16"], ["MATS+"], backend="vectorized",
+                       kernel="segmented")]
+    completed = dict(BatchedGridEngine(cases).completions())
+    records = [completed[index] for index in range(len(cases))]
+    assert [record.kernel_used for record in records] == \
+        [case.kernel for case in cases]
+    assert_identical_records([execute_case(case) for case in cases],
+                             records)
 
 
 def test_engine_run_state_is_thread_local(clean_kernels):
