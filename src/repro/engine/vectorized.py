@@ -593,10 +593,11 @@ class VectorizedEngine:
                            collect_errors: bool):
         """One batch unit on the segmented kernel; with ``collect_errors``
         an engine rejection is returned in place of the aggregates."""
-        run = (self._run_low_power if mode is OperatingMode.LOW_POWER_TEST
-               else self._run_functional)
         try:
-            return run(algorithm, trace.element_walks())
+            if mode is OperatingMode.LOW_POWER_TEST:
+                return self._run_low_power(algorithm, trace.element_walks(),
+                                           trace.order.name)
+            return self._run_functional(algorithm, trace.element_walks())
         except EngineError as error:
             if not collect_errors:
                 raise
@@ -703,7 +704,8 @@ class VectorizedEngine:
     # ------------------------------------------------------------------
     # Low-power test mode: per-row-segment vectorization
     # ------------------------------------------------------------------
-    def _run_low_power(self, algorithm: MarchAlgorithm, walks):
+    def _run_low_power(self, algorithm: MarchAlgorithm, walks,
+                       order_name: str):
         geo, k = self.geometry, self._k
         bits = geo.bits_per_word
         n_words = geo.words_per_row
@@ -761,7 +763,7 @@ class VectorizedEngine:
                 # selected word's lines are held at VDD when it is selected.
                 if m > 1 and not np.array_equal(seg[1:], seg[:-1] + delta):
                     raise UnsupportedConfiguration(
-                        f"order {self.order.name!r} does not follow the "
+                        f"order {order_name!r} does not follow the "
                         "pre-charged traversal neighbour within a row; use the "
                         "reference backend")
                 first_word = int(seg[0])

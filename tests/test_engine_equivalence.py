@@ -313,6 +313,22 @@ def test_batch_collects_unsupported_units():
         engine.run_aggregates_batch(requests)
 
 
+@pytest.mark.parametrize("kernel", ["flat", "segmented"])
+def test_batch_rejection_names_the_units_own_order(kernel):
+    """A batch may carry traces of other orders than the engine's own (the
+    grid engine does): a rejected unit names the order of its trace."""
+    geometry = ArrayGeometry(rows=8, columns=16)
+    snake = RowMajorSnakeOrder(geometry)
+    snake_trace = VectorizedEngine(geometry, order=snake).trace_for(MARCH_CM)
+    engine = VectorizedEngine(geometry, detailed=False)
+    [outcome] = engine.run_aggregates_batch(
+        [(MARCH_CM, OperatingMode.LOW_POWER_TEST, snake_trace)],
+        collect_errors=True, kernel=kernel)
+    assert isinstance(outcome, UnsupportedConfiguration)
+    assert repr(snake.name) in str(outcome)
+    assert repr(engine.order.name) not in str(outcome)
+
+
 def test_engine_memoises_traces_across_runs_and_modes():
     """Both modes of a compare share one compiled trace (and its segment
     structure), through the engine's own cache."""

@@ -73,16 +73,24 @@ def test_coverage_records_identical_across_strategies():
 def test_segmented_kernel_identical_in_process_pool_and_per_case():
     """A grid that requests the segmented kernel runs it on every path:
     the in-process grid engine, the worker pool and the per-case unit all
-    record ``kernel_used == "segmented"`` with identical measurements."""
-    cases = (sweep_grid(["8x16"], ["MATS+"], backends=("vectorized",),
-                        kernel="segmented")
+    record the tier each case requested, with identical measurements. The
+    second grid mixes flat and segmented cases in one engine run."""
+    segmented = (sweep_grid(["8x16"], ["MATS+"], backends=("vectorized",),
+                            kernel="segmented")
+                 + prr_grid(["8x16"], ["MATS+"], backend="vectorized",
+                            kernel="segmented"))
+    mixed = (sweep_grid(["8x16"], ["MATS+", "March C-"], kernel="flat")
+             + sweep_grid(["8x16"], ["MATS+", "March C-"],
+                          kernel="segmented")
              + prr_grid(["8x16"], ["MATS+"], backend="vectorized",
                         kernel="segmented"))
-    percase, batched = run_both(cases)
-    pooled = SweepRunner(cases, processes=2).run()
-    assert_identical_records(percase, batched)
-    assert_identical_records(percase, pooled)
-    assert {record.kernel_used for record in batched} == {"segmented"}
+    for cases in (segmented, mixed):
+        percase, batched = run_both(cases)
+        pooled = SweepRunner(cases, processes=2).run()
+        assert_identical_records(percase, batched)
+        assert_identical_records(percase, pooled)
+        assert [record.kernel_used for record in batched] == \
+            [case.kernel for case in cases]
 
 
 def test_mixed_grid_identical_and_in_input_order():

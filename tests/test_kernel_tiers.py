@@ -233,25 +233,6 @@ def test_unrequested_kernel_runs_flat_and_records_default(clean_kernels):
             replace(flat, elapsed_s=0.0)
 
 
-def test_grid_engine_records_each_cases_kernel(clean_kernels):
-    """One grid-engine run over a flat and a segmented axis: every record
-    carries the tier its own case executed, and matches that case run
-    alone."""
-    from repro.engine.grid import BatchedGridEngine
-
-    cases = [*sweep_grid(["8x16"], ["MATS+", "March C-"], kernel="flat"),
-             *sweep_grid(["8x16"], ["MATS+", "March C-"],
-                         kernel="segmented"),
-             *prr_grid(["8x16"], ["MATS+"], backend="vectorized",
-                       kernel="segmented")]
-    completed = dict(BatchedGridEngine(cases).completions())
-    records = [completed[index] for index in range(len(cases))]
-    assert [record.kernel_used for record in records] == \
-        [case.kernel for case in cases]
-    assert_identical_records([execute_case(case) for case in cases],
-                             records)
-
-
 def test_engine_run_state_is_thread_local(clean_kernels):
     # One engine shared by a serving worker pool: last_kernel_used /
     # last_stress / last_counters are per-thread observations, so a run

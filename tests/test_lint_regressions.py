@@ -65,7 +65,6 @@ class TestKernelStateLocking:
         finally:
             vectorized.reset_kernel_state()
 
-
     def test_concurrent_runs_keep_their_own_kernel(self):
         # The kernel is a per-call value: threads sharing one engine and
         # asking for different tiers each run, and record, their own.
@@ -89,32 +88,6 @@ class TestKernelStateLocking:
 
         hammer([lambda: run("segmented"), lambda: run("flat"),
                 lambda: run("segmented"), lambda: run("flat")])
-
-    def test_unrequested_kernel_stays_flat_beside_other_requests(self):
-        # ``kernel=None`` means "flat" at every call, whatever tier other
-        # threads are running at the same moment.
-        from repro.engine import VectorizedEngine
-        from repro.march.library import get_algorithm
-        from repro.sram import ArrayGeometry, OperatingMode
-
-        geometry = ArrayGeometry(8, 16)
-        algorithm = get_algorithm("MATS+")
-        mode = OperatingMode.FUNCTIONAL
-        unrequested = VectorizedEngine(geometry)
-        segmented = VectorizedEngine(geometry, kernel="segmented")
-
-        def run_default():
-            for _ in range(50):
-                assert unrequested.resolved_kernel() == "flat"
-                unrequested.run_aggregates(algorithm, mode)
-                assert unrequested.last_kernel_used == "flat"
-
-        def run_segmented():
-            for _ in range(50):
-                segmented.run_aggregates(algorithm, mode)
-                assert segmented.last_kernel_used == "segmented"
-
-        hammer([run_default, run_segmented, run_default, run_segmented])
 
 
 class TestAtomicExports:
